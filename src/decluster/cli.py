@@ -38,11 +38,18 @@ def _parse_box(text: str) -> Box:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Comma list ("4,8") or inclusive range ("4..16")."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+    """Comma list ("4,8") or inclusive range ("4..16"); nonempty."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise DeclusterError(f"bad integer list {text!r}; expected a,b,... or lo..hi") from None
+    if not values:
+        raise DeclusterError(f"integer list {text!r} is empty")
+    return values
 
 
 def cmd_generate(args) -> int:
@@ -146,10 +153,17 @@ def cmd_witness(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    dims = _parse_int_list(args.dims)
+    disks = _parse_int_list(args.disks)
+    modes = args.modes.split(",")
+    unknown = [m for m in modes if m not in MODES]
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise DeclusterError(f"unknown mode(s) {names}; choose from {MODES}")
     rows = sweep(
-        dims=_parse_int_list(args.dims),
-        disks=_parse_int_list(args.disks),
-        modes=args.modes.split(","),
+        dims=dims,
+        disks=disks,
+        modes=modes,
         extent_multiplier=args.extent_multiplier,
         csv_path=args.csv,
         seed=args.seed,

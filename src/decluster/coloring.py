@@ -15,6 +15,7 @@ mod M into [M]^d, i.e. the base pattern tiles the whole grid.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -73,9 +74,18 @@ class LatinColoring:
             raise ParameterError(f"expected {self.d} coordinates")
         return (cell[0] - self.anchor_at(tuple(cell[1:]))) % self.M + 1
 
+    @functools.cached_property
+    def _anchor_array(self) -> np.ndarray:
+        arr = np.asarray(self.anchor, dtype=np.int64).reshape((self.M,) * (self.d - 1))
+        arr.flags.writeable = False
+        return arr
+
     def anchor_tensor(self) -> np.ndarray:
-        """Anchor map as an int array of shape (M,) * (d-1)."""
-        return np.asarray(self.anchor, dtype=np.int64).reshape((self.M,) * (self.d - 1))
+        """Anchor map as a read-only int64 array of shape (M,) * (d-1).
+
+        Built from ``anchor`` on first use and shared by later calls.
+        """
+        return self._anchor_array
 
 
 @dataclass(frozen=True)

@@ -276,13 +276,39 @@ def response_time(source, extent: int, box: Box, *, M: int | None = None) -> int
     return RangeCounter(source, extent, M=M).response_time(box)
 
 
-def periodic_box_counts(source, box: Box) -> np.ndarray:
-    """Per-color counts of a box on the unbounded grid, via the period-M tile.
+def _residue_hits(lo: int, hi: int, M: int) -> np.ndarray:
+    """How many of lo..hi fall in each residue class (index (x - 1) mod M)."""
+    q, r = divmod(hi - lo + 1, M)
+    return q + ((np.arange(M, dtype=np.int64) - (lo - 1) % M) % M < r)
 
-    The allocation repeats with period M along every axis, so the count for
-    color c is sum over base cells of (#grid points of the box hitting that
-    cell's residue class) -- an [M]^d computation independent of how far out
-    the box reaches.  Accepts a Scheme or LatinColoring.
+
+def periodic_box_counts(source, box: Box) -> np.ndarray:
+    """Per-color counts of a box on the unbounded grid, via the anchor map.
+
+    The allocation repeats with period M along every axis, so only the
+    box's per-residue hit counts matter: w_i[x] = #{v in [lo_i, hi_i] :
+    (v - 1) mod M = x}.  Write a(u) = anchor(u) - 1 and index colors by
+    c = color - 1.  Then
+
+        counts[c] = sum_a h[a] * w_1[(a + c) mod M],
+        h[a] = sum over u with a(u) = a of prod_{i>=2} w_i[u_i - 1].
+
+    Proof: by the shift property of the anchor map (module docstring of
+    ``coloring``), base cell (x_1, u) has index c iff x_1 - 1 = a(u) + c
+    (mod M), and the box holds w_1[x_1 - 1] * prod_{i>=2} w_i[u_i - 1]
+    copies of it; grouping the trailing u by a(u) gives the sum.
+
+    Along axis 1, w_1 is q = L_1 div M everywhere plus 1 on the cyclic
+    window of r = L_1 mod M residues that starts at s = (lo_1 - 1) mod M.
+    Hence counts[c] = q * sum(h) + (sum of h over the cyclic window of
+    length r starting at (s - c) mod M), read off one prefix sum of h
+    concatenated with itself.  h is one scatter-add of the trailing
+    per-axis outer product onto the anchor values, so a call costs
+    O(M^(d-1)) time and memory whatever the box's size or position.
+
+    Every intermediate is at most 2|B|, so boxes of 2^62 blocks or more
+    are refused with ParameterError instead of wrapping int64.  Accepts a
+    Scheme or LatinColoring.
     """
     if isinstance(source, np.ndarray):
         raise ParameterError("periodic counting needs a coloring, not a raw grid")
@@ -292,19 +318,23 @@ def periodic_box_counts(source, box: Box) -> np.ndarray:
         raise ParameterError(f"box has {box.d} axes, coloring has {d}")
     if box.is_empty:
         return np.zeros(M, dtype=np.int64)
-    per_axis = []
-    for lo, hi in zip(box.lo, box.hi):
-        length = hi - lo + 1
-        cnt = np.full(M, length // M, dtype=np.int64)
-        start = (lo - 1) % M
-        for k in range(length % M):
-            cnt[(start + k) % M] += 1
-        per_axis.append(cnt)
-    weight = functools.reduce(np.multiply.outer, per_axis)
-    grid = color_grid(coloring, M)
-    counts = np.zeros(M, dtype=np.int64)
-    np.add.at(counts, grid.reshape(-1) - 1, weight.reshape(-1))
-    return counts
+    if box.cardinality >= 2**62:
+        raise ParameterError(
+            f"box {box} holds {box.cardinality} blocks; periodic counts are "
+            "exact only below 2^62"
+        )
+    trailing = functools.reduce(
+        np.multiply.outer,
+        [_residue_hits(lo, hi, M) for lo, hi in zip(box.lo[1:], box.hi[1:])],
+        np.ones((), dtype=np.int64),
+    )
+    h = np.zeros(M, dtype=np.int64)
+    np.add.at(h, coloring.anchor_tensor().reshape(-1) - 1, trailing.reshape(-1))
+    q, r = divmod(box.hi[0] - box.lo[0] + 1, M)
+    prefix = np.zeros(2 * M + 1, dtype=np.int64)
+    np.cumsum(np.concatenate((h, h)), out=prefix[1:])
+    window = ((box.lo[0] - 1) % M - np.arange(M, dtype=np.int64)) % M
+    return q * int(prefix[M]) + prefix[window + r] - prefix[window]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface, driven in-process through main(argv)."""
 
+import itertools
 import json
 
 import pytest
@@ -29,6 +30,9 @@ def test_parse_box():
 def test_parse_int_list():
     assert _parse_int_list("4,8,16") == [4, 8, 16]
     assert _parse_int_list("3..6") == [3, 4, 5, 6]
+    for bad in ("a", "3..x", "4,,8", "6..3"):
+        with pytest.raises(DeclusterError):
+            _parse_int_list(bad)
 
 
 # -- generate / verify --------------------------------------------------------------
@@ -196,6 +200,18 @@ def test_query_far_box_periodicity(cyclic8, capsys):
     assert near.split("\n")[1:] == far.split("\n")[1:]
 
 
+def test_query_refuses_box_beyond_int64(tmp_path, capsys):
+    scheme = tmp_path / "smallbase8.json"
+    run(capsys, "generate", "--disks", "8", "--dim", "3", "--mode", "smallbase",
+        "--out", str(scheme))
+    code, stdout, stderr = run(
+        capsys, "query", "--scheme", str(scheme), "--box", "1:10000000,1:10000000,1:10000000"
+    )
+    assert code == 1
+    assert "response time" not in stdout
+    assert stderr.startswith("error: ") and "2^62" in stderr
+
+
 def test_export_map(cyclic8, tmp_path, capsys):
     csv = tmp_path / "map.csv"
     code, stdout, _ = run(
@@ -241,3 +257,30 @@ def test_sweep_skip_notes_on_stderr(tmp_path, capsys):
     assert code == 0
     assert "wrote 1 rows" in stdout
     assert "skipping M=6 d=4 mode=paper" in stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--dims", "a"), ("--dims", "2,x"), ("--disks", "3..b"), ("--disks", "5..3")],
+)
+def test_sweep_rejects_bad_integer_list(tmp_path, capsys, flag, value):
+    argv = {"--dims": "2", "--disks": "3", "--modes": "cyclic", flag: value}
+    csv = tmp_path / "rows.csv"
+    code, stdout, stderr = run(
+        capsys, "sweep", *itertools.chain(*argv.items()), "--csv", str(csv)
+    )
+    assert code == 1
+    assert stderr.startswith("error: ") and repr(value) in stderr
+    assert stdout == "" and not csv.exists()
+
+
+def test_sweep_rejects_unknown_mode(tmp_path, capsys):
+    csv = tmp_path / "rows.csv"
+    code, stdout, stderr = run(
+        capsys, "sweep", "--dims", "2", "--disks", "3..5", "--modes", "cyclic,bogus",
+        "--csv", str(csv),
+    )
+    assert code == 1
+    assert stderr.startswith("error: unknown mode(s) 'bogus'")
+    assert "skipping" not in stderr
+    assert stdout == "" and not csv.exists()

@@ -66,6 +66,16 @@ def test_smallbase_three_dimensional():
     assert naive_latin_ok(col.anchor_tensor(), 4)
 
 
+def test_anchor_tensor_is_built_once_and_read_only():
+    col = make_baseline("random", 5, 3, seed=1).coloring
+    tensor = col.anchor_tensor()
+    assert tensor is col.anchor_tensor()
+    assert tensor.dtype == np.int64 and tensor.shape == (5, 5)
+    assert tensor.reshape(-1).tolist() == list(col.anchor)
+    with pytest.raises(ValueError):
+        tensor[0, 0] = 1
+
+
 def test_color_class_one_is_the_anchor_set():
     net = net_from_generators(pascal_power_generators(3, 2, 1))
     col = coloring_from_net(net, 3)

@@ -1,14 +1,16 @@
 """Exact load-imbalance measurement: counting, full scans, certificates."""
 
+import functools
+import itertools
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from decluster.coloring import LatinColoring, make_baseline
+from decluster.coloring import LatinColoring, color_grid, make_baseline
 from decluster.discrepancy import (
     Box,
     RangeCounter,
@@ -26,6 +28,7 @@ from decluster.discrepancy import (
 )
 from decluster.errors import BudgetExceededError, ParameterError
 from decluster.nets import net_from_generators, pascal_power_generators
+from decluster.schemegen import MODES, generate_scheme
 from oracles import naive_box_count, naive_disc, naive_geometric
 
 # -- value and box types -------------------------------------------------------
@@ -135,6 +138,89 @@ def test_periodic_counts_far_from_origin():
 def test_periodic_counts_rejects_raw_grid():
     with pytest.raises(ParameterError):
         periodic_box_counts(np.ones((2, 2), dtype=np.int64), Box(lo=(1, 1), hi=(2, 2)))
+
+
+def _residue_hits(lo, hi, M):
+    """Per-residue hit counts of lo..hi as Python ints, one step at a time."""
+    length = hi - lo + 1
+    hits = [length // M] * M
+    for k in range(length % M):
+        hits[(lo - 1 + k) % M] += 1
+    return hits
+
+
+def _materialised_counts(scheme, box):
+    """Periodic counts from the whole [M]^d color grid and a weighted bincount."""
+    M = scheme.M
+    weight = functools.reduce(
+        np.multiply.outer,
+        [np.array(_residue_hits(lo, hi, M), dtype=np.int64) for lo, hi in zip(box.lo, box.hi)],
+    )
+    grid = color_grid(scheme, M)
+    # weights stay far below 2^53 here, so the float bincount is exact
+    counts = np.bincount(grid.reshape(-1) - 1, weights=weight.reshape(-1), minlength=M)
+    return counts.astype(np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _scheme_or_none(M, d, mode):
+    try:
+        return generate_scheme(M, d, mode, seed=5)
+    except ParameterError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(MODES),
+    d=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_periodic_counts_match_materialised_grid(mode, d, data):
+    M = 2 if mode == "checkerboard" else data.draw(st.integers(1, 7), label="M")
+    scheme = _scheme_or_none(M, d, mode)
+    assume(scheme is not None)
+    if data.draw(st.booleans(), label="empty"):
+        box = Box(lo=(1,) * d, hi=(0,) * d)
+    else:
+        lo = data.draw(st.lists(st.integers(1, 10**9), min_size=d, max_size=d), label="lo")
+        lengths = data.draw(
+            st.lists(st.integers(1, 3 * M + 1), min_size=d, max_size=d), label="lengths"
+        )
+        box = Box(lo=tuple(lo), hi=tuple(a + n - 1 for a, n in zip(lo, lengths)))
+    counts = periodic_box_counts(scheme, box)
+    assert counts.dtype == np.int64 and counts.shape == (M,)
+    assert int(counts.sum()) == box.cardinality
+    if box.is_empty:
+        assert not counts.any()
+        return
+    assert np.array_equal(counts, _materialised_counts(scheme, box))
+    if box.cardinality <= 400:
+        tally = np.zeros(M, dtype=np.int64)
+        for block in itertools.product(*(range(a, b + 1) for a, b in zip(box.lo, box.hi))):
+            tally[scheme.disk_of(block) - 1] += 1
+        assert np.array_equal(counts, tally)
+
+
+def test_periodic_counts_exact_just_below_int64_reach():
+    scheme = generate_scheme(3, 3, "random", seed=2)
+    lengths = (2**20 + 1, 2**20 + 2, 2**21 - 5)  # |B| just under 2^62
+    box = Box(lo=(7, 10**12, 5), hi=tuple(a + n - 1 for a, n in zip((7, 10**12, 5), lengths)))
+    assert 2**61 < box.cardinality < 2**62
+    hits = [_residue_hits(lo, hi, 3) for lo, hi in zip(box.lo, box.hi)]
+    want = [0, 0, 0]
+    for cell in itertools.product(range(3), repeat=3):
+        color = scheme.disk_of(tuple(x + 1 for x in cell))
+        want[color - 1] += hits[0][cell[0]] * hits[1][cell[1]] * hits[2][cell[2]]
+    assert [int(v) for v in periodic_box_counts(scheme, box)] == want
+
+
+def test_periodic_counts_refuse_boxes_that_could_wrap_int64():
+    scheme = generate_scheme(8, 3, "smallbase")
+    with pytest.raises(ParameterError, match="2\\^62"):
+        periodic_box_counts(scheme, Box(lo=(1, 1, 1), hi=(10**7,) * 3))
+    with pytest.raises(ParameterError):
+        periodic_box_counts(scheme, Box(lo=(1, 1, 1), hi=(2**21, 2**21, 2**20)))
 
 
 # -- full-scan reports -----------------------------------------------------------

@@ -7,12 +7,30 @@ deviations gives ``disc_plus``, which is exactly the additive overshoot of
 the worst range query over the best possible per-query load |B|/M.
 
 Every deviation is an integer multiple of 1/M, so all values are carried as
-integers scaled by M (``ScaledValue``) and every comparison is exact.  The
-full-report scan enumerates the coordinate ranges of axes 2..d and sweeps
-axis 1 with a maximum-subarray scan per color: O(M * N^(2d-1)) overall
-instead of the naive O(M * N^(2d)).  Witnesses are tie-broken to the
-lexicographically smallest (box lower corner, box upper corner, color), so
-results do not depend on evaluation order.
+integers scaled by M (``ScaledValue``) and every comparison is exact.
+
+One kernel, ``_scan_boxes``, does every all-boxes scan.  Given K integer
+weight planes on [N]^d it returns, per plane, the largest box sum of the
+plane and of its negation, each with the lexicographically smallest (lower
+corner, upper corner, plane) attaining the overall largest.  It forms prefix
+sums over axes 2..d once and takes the coordinate ranges of axes 2..d
+("slabs") in chunks of a fixed number of elements, making slab indices per
+chunk, so memory does not grow with the number of slabs.  Per chunk, one
+vectorised inclusion-exclusion gives every slab's line sums along axis 1,
+and a maximum-subarray sweep of their prefix sums (Bentley, Programming
+Pearls, CACM 1984) gives the best axis-1 range for every right end at once.
+Work is O(K * N^(2d-1)), the prefix table holds K * N * (N+1)^(d-1)
+integers, and ties are resolved across all chunks, not within one.
+
+Its three callers rank the result by their own tie rule:
+
+- ``disc_report``: one plane M * [color = c] - 1 per color.  disc+ is the
+  largest sum and disc the largest magnitude, each witnessed by the lex-min
+  (lo, hi, color) attaining it.
+- ``find_positive_witness``: one plane for the chosen color, ranked by
+  (|deviation|, deviation > 0, lex-min (lo, hi)).
+- ``geometric_discrepancy``: one plane G^d * count - n per 1/G cell, ranked
+  by |deviation|, then lex-min (a, c) of the corner numerators.
 """
 
 from __future__ import annotations
@@ -20,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -49,12 +68,12 @@ def _max_cells(override: int | None) -> int:
         raise ParameterError(f"{MAX_CELLS_ENV}={raw!r} is not an integer") from exc
 
 
-def _check_budget(extent: int, d: int, M: int, max_cells: int | None) -> None:
+def _check_budget(extent: int, d: int, planes: int, max_cells: int | None) -> None:
     budget = _max_cells(max_cells)
-    cells = extent**d * M
+    cells = extent**d * planes
     if cells > budget:
         raise BudgetExceededError(
-            f"N^d * M = {extent}^{d} * {M} = {cells} exceeds the cell budget "
+            f"N^d * planes = {extent}^{d} * {planes} = {cells} exceeds the cell budget "
             f"{budget} (raise {MAX_CELLS_ENV} or pass max_cells to override)"
         )
 
@@ -151,24 +170,6 @@ class ScaledValue:
         return f"{self.num}/{self.den}"
 
 
-class _neg:
-    """Inverts comparison order: (value, _neg(key)) maximizes value, minimizes key."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __gt__(self, other):
-        return other.key > self.key
-
-    def __eq__(self, other):
-        return other.key == self.key
-
-
 @dataclass(frozen=True)
 class DiscReport:
     """Exact discrepancy figures of one coloring at one grid extent."""
@@ -258,23 +259,6 @@ class RangeCounter:
             raise ParameterError(f"color {color} outside [1, {self.M}]")
         return int(self.counts(box)[color - 1])
 
-    def response_time(self, box: Box) -> int:
-        """Largest per-color cell count in the box (0 for the empty box)."""
-        self._validate(box)
-        if box.is_empty:
-            return 0
-        return int(self.counts(box).max())
-
-
-def count_in_box(source, extent: int, box: Box, color: int, *, M: int | None = None) -> int:
-    """One-off box count; build a RangeCounter for repeated queries."""
-    return RangeCounter(source, extent, M=M).count(box, color)
-
-
-def response_time(source, extent: int, box: Box, *, M: int | None = None) -> int:
-    """Worst per-disk load of the query box under the given allocation."""
-    return RangeCounter(source, extent, M=M).response_time(box)
-
 
 def _residue_hits(lo: int, hi: int, M: int) -> np.ndarray:
     """How many of lo..hi fall in each residue class (index (x - 1) mod M)."""
@@ -358,6 +342,104 @@ def _validate_witness(grid, M, box, color):
     return int(devs[color - 1])
 
 
+# Elements per (N + 1, slabs, planes) temporary of one scan chunk: enough
+# slabs per numpy call to spread its fixed cost, few enough to stay in cache
+# and add well under a MiB to peak memory.
+_CHUNK_ELEMS = 8192
+
+
+def _lex_min_key(hits, floor, lo_t, hi_t) -> tuple:
+    """Lex-min (lo, hi, plane) among the boxes of one chunk flagged in ``hits``.
+
+    ``hits[i, s, k]`` flags axis-1 right end i + 1, slab s, plane k; the
+    box's axis-1 left end is one past the first prefix index at which the
+    running minimum ``floor`` reached ``floor[i, s, k]``.
+    """
+    moved = np.ones(floor.shape, dtype=bool)
+    moved[1:] = floor[1:] != floor[:-1]
+    index = np.arange(len(floor), dtype=np.int64).reshape(-1, 1, 1)
+    first = np.maximum.accumulate(np.where(moved, index, 0), axis=0)
+    i, s, k = np.nonzero(hits)
+    cols = [first[i, s, k] + 1, *(lo[s] for lo in lo_t), i + 1, *(hi[s] for hi in hi_t), k + 1]
+    j = np.lexsort(cols[::-1])[0]
+    d = len(lo_t) + 1
+    key = [int(c[j]) for c in cols]
+    return tuple(key[:d]), tuple(key[d : 2 * d]), key[-1]
+
+
+def _scan_boxes(
+    labels: np.ndarray,
+    weights: np.ndarray,
+    *,
+    signs: tuple[int, ...] = (1, -1),
+    max_cells: int | None = None,
+) -> list:
+    """Largest box sums of K weight planes on [N]^d and of their negations.
+
+    Plane k gives cell x the integer weight ``weights[k, labels[x]]``, where
+    ``labels`` is an int array of shape (N,)*d and ``weights`` a (K, L)
+    int64 table.  Returns one (peaks, key) per entry of ``signs``: peaks[k]
+    is the largest box sum of sign * plane k, and key the lex-min (lo, hi,
+    plane) attaining peaks.max(), with 1-based inclusive corners and plane.
+    The cell budget counts K * N^d and is checked before any allocation.
+    """
+    N, d, K = labels.shape[0], labels.ndim, weights.shape[0]
+    _check_budget(N, d, K, max_cells)
+
+    # prefix[x_1, j_2, .., j_d, k]: plane k's weight on row x_1 over the
+    # trailing coordinates [1, j_i] (index 0 = none).  Axis 1 comes first so
+    # that the sweeps along it run over contiguous (slab, plane) vectors.
+    prefix = np.zeros((N,) + (N + 1,) * (d - 1) + (K,), dtype=np.int64)
+    inner = prefix[(slice(None),) + (slice(1, None),) * (d - 1)]
+    for k in range(K):  # plane by plane, so no K * N^d temporary
+        inner[..., k] = weights[k][labels]
+    for axis in range(1, d):
+        np.cumsum(prefix, axis=axis, out=prefix)
+    prefix = prefix.reshape(N, -1, K)
+    strides = [(N + 1) ** (d - 2 - a) for a in range(d - 1)]
+
+    pair_lo, pair_hi = np.triu_indices(N)  # 0-based lo <= hi, one per axis range
+    pair_lo += 1
+    pair_hi += 1
+    ranges = len(pair_lo)
+    slabs = ranges ** (d - 1)
+    step = max(1, _CHUNK_ELEMS // (K * (N + 1)))
+
+    tracks = [[np.full(K, np.iinfo(np.int64).min, dtype=np.int64), None] for _ in signs]
+    for start in range(0, slabs, step):
+        rest = np.arange(start, min(start + step, slabs), dtype=np.int64)
+        lo_t, hi_t = [], []
+        for _ in range(d - 1):
+            rest, pick = np.divmod(rest, ranges)
+            lo_t.insert(0, pair_lo[pick])
+            hi_t.insert(0, pair_hi[pick])
+        lines = None
+        for picks in itertools.product(*[((hi, 1), (lo - 1, -1)) for lo, hi in zip(lo_t, hi_t)]):
+            flat = np.zeros(len(rest), dtype=np.int64)
+            for (j, _), stride in zip(picks, strides):
+                flat += j * stride
+            term = prefix[:, flat]
+            if lines is None:
+                lines = term
+            elif math.prod(sign for _, sign in picks) > 0:
+                lines += term
+            else:
+                lines -= term
+        sums = np.zeros((N + 1,) + lines.shape[1:], dtype=np.int64)
+        np.cumsum(lines, axis=0, out=sums[1:])
+        for sign, track in zip(signs, tracks):
+            S = sums if sign > 0 else -sums
+            floor = np.minimum.accumulate(S[:-1], axis=0)
+            best = S[1:] - floor  # largest sum ending at each axis-1 right end
+            top = best.max(axis=(0, 1))
+            peak, so_far = int(top.max()), int(track[0].max())
+            if peak >= so_far:
+                key = _lex_min_key(best == peak, floor, lo_t, hi_t)
+                track[1] = key if peak > so_far else min(track[1], key)
+            np.maximum(track[0], top, out=track[0])
+    return tracks
+
+
 def disc_report(
     source,
     extent: int,
@@ -368,119 +450,52 @@ def disc_report(
 ) -> DiscReport:
     """Exact disc / disc_plus over every box of [extent]^d, with witnesses.
 
-    Enumerates all coordinate ranges of axes 2..d; for each, per-color cell
-    counts along axis 1 come from a prefix table, and a maximum-subarray scan
-    over (M * count - length) finds the best axis-1 range.  All arithmetic is
-    integer.  ``positive_only`` skips the absolute-value track.
+    One ``_scan_boxes`` pass over the planes M * [color = c] - 1, whose box
+    sums are the deviations M * count - |B|.  All arithmetic is integer.
+    ``positive_only`` skips the absolute-value track.
     """
     start = time.perf_counter()
-    grid, M_, d = _resolve_grid(source, extent, M)
-    M = M_
-    N = extent
-    _check_budget(N, d, M, max_cells)
+    grid, M, d = _resolve_grid(source, extent, M)
+    colors = np.arange(1, M + 1, dtype=np.int64)
+    weights = M * (colors[:, None] == np.arange(M + 1)).astype(np.int64) - 1
+    tracks = _scan_boxes(
+        grid, weights, signs=(1,) if positive_only else (1, -1), max_cells=max_cells
+    )
 
-    # Prefix table over axes 2..d, per (color, x1): P[c, x1, j2.., jd] counts
-    # cells with the trailing coordinates in [1, j_i] (0 index = none).
-    P = np.zeros((M, N) + (N + 1,) * (d - 1), dtype=np.int64)
-    trailing_inner = (slice(1, None),) * (d - 1)
-    for c in range(M):
-        part = (grid == c + 1).astype(np.int64)
-        for axis in range(1, d):
-            part = np.cumsum(part, axis=axis)
-        P[(c, slice(None)) + trailing_inner] = part
-
-    axis_ranges = [(lo, hi) for lo in range(1, N + 1) for hi in range(lo, N + 1)]
-
-    best_plus = None  # (num, key) with key = (lo_tuple, hi_tuple, color)
-    best_abs = None
-    plus_col = np.full(M, np.iinfo(np.int64).min, dtype=np.int64)
-    abs_col = np.full(M, np.iinfo(np.int64).min, dtype=np.int64)
-
-    def extract(S, mat, target, outer_lo, outer_hi, minimize_prefix):
-        """Lex-min (lo, hi, color) among boxes of this outer slab hitting target."""
-        found = None
-        cs, ends = np.nonzero(mat == target)
-        for c, i in zip(cs.tolist(), ends.tolist()):
-            seg = S[c, : i + 1]
-            a = int(np.argmin(seg)) if minimize_prefix else int(np.argmax(seg))
-            key = ((a + 1,) + outer_lo, (i + 1,) + outer_hi, c + 1)
-            if found is None or key < found:
-                found = key
-        return found
-
-    for outer in itertools.product(*([axis_ranges] * (d - 1))):
-        outer_lo = tuple(r[0] for r in outer)
-        outer_hi = tuple(r[1] for r in outer)
-        # per-color per-x1 counts over the outer ranges, by inclusion-exclusion
-        lines = np.zeros((M, N), dtype=np.int64)
-        for picks in itertools.product(*[((hi, 0), (lo - 1, 1)) for lo, hi in outer]):
-            idx = tuple(p[0] for p in picks)
-            sign = -1 if sum(p[1] for p in picks) % 2 else 1
-            lines += sign * P[(slice(None), slice(None)) + idx]
-        length = 1
-        for lo, hi in outer:
-            length *= hi - lo + 1
-        g = M * lines - length
-        S = np.concatenate(
-            [np.zeros((M, 1), dtype=np.int64), np.cumsum(g, axis=1)], axis=1
-        )
-        prefix_min = np.minimum.accumulate(S[:, :-1], axis=1)
-        V = S[:, 1:] - prefix_min  # best (largest) deviation ending at each hi1
-        np.maximum(plus_col, V.max(axis=1), out=plus_col)
-        local_plus = int(V.max())
-        if best_plus is None or local_plus >= best_plus[0]:
-            key = extract(S, V, local_plus, outer_lo, outer_hi, minimize_prefix=True)
-            if best_plus is None or (local_plus, _neg(key)) > (best_plus[0], _neg(best_plus[1])):
-                best_plus = (local_plus, key)
-        if not positive_only:
-            prefix_max = np.maximum.accumulate(S[:, :-1], axis=1)
-            W = S[:, 1:] - prefix_max  # most negative deviation ending at each hi1
-            np.maximum(abs_col, np.maximum(V.max(axis=1), -W.min(axis=1)), out=abs_col)
-            local_abs = max(local_plus, -int(W.min()))
-            if best_abs is None or local_abs >= best_abs[0]:
-                cands = []
-                if local_plus == local_abs:
-                    cands.append(extract(S, V, local_abs, outer_lo, outer_hi, True))
-                if -int(W.min()) == local_abs:
-                    cands.append(extract(S, W, -local_abs, outer_lo, outer_hi, False))
-                key = min(c for c in cands if c is not None)
-                if best_abs is None or (local_abs, _neg(key)) > (best_abs[0], _neg(best_abs[1])):
-                    best_abs = (local_abs, key)
-
-    plus_box = Box(lo=best_plus[1][0], hi=best_plus[1][1])
-    plus_color = best_plus[1][2]
+    plus_col, (plus_lo, plus_hi, plus_color) = tracks[0]
+    plus = int(plus_col.max())
+    plus_box = Box(lo=plus_lo, hi=plus_hi)
     check = _validate_witness(grid, M, plus_box, plus_color)
-    if check != best_plus[0]:
+    if check != plus:
         raise AssertionError(
             f"witness recount mismatch: box {plus_box} color {plus_color} "
-            f"recounts to {check}, scan said {best_plus[0]}"
+            f"recounts to {check}, scan said {plus}"
         )
     disc_val = None
     disc_wit = None
     abs_col_out = None
     if not positive_only:
-        abs_box = Box(lo=best_abs[1][0], hi=best_abs[1][1])
-        abs_color = best_abs[1][2]
+        disc = max(int(peaks.max()) for peaks, _ in tracks)
+        abs_lo, abs_hi, abs_color = min(key for peaks, key in tracks if peaks.max() == disc)
+        abs_box = Box(lo=abs_lo, hi=abs_hi)
         check = _validate_witness(grid, M, abs_box, abs_color)
-        if abs(check) != best_abs[0]:
+        if abs(check) != disc:
             raise AssertionError(
                 f"witness recount mismatch: box {abs_box} color {abs_color} "
-                f"recounts to {check}, scan said +/-{best_abs[0]}"
+                f"recounts to {check}, scan said +/-{disc}"
             )
-        disc_val = ScaledValue(best_abs[0], M)
+        disc_val = ScaledValue(disc, M)
         disc_wit = (abs_box, abs_color)
-        abs_col_out = tuple(int(v) for v in abs_col)
+        abs_col_out = tuple(int(v) for v in np.maximum(plus_col, tracks[1][0]))
         # sanity: disc/(M-1) <= disc_plus <= disc must hold exactly
-        if best_plus[0] > best_abs[0] or (M > 1 and best_abs[0] > best_plus[0] * (M - 1)):
-            raise AssertionError(
-                f"sandwich violation: disc={best_abs[0]}/{M}, disc_plus={best_plus[0]}/{M}"
-            )
+        if plus > disc or (M > 1 and disc > plus * (M - 1)):
+            raise AssertionError(f"sandwich violation: disc={disc}/{M}, disc_plus={plus}/{M}")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return DiscReport(
         M=M,
         d=d,
-        extent=N,
-        disc_plus=ScaledValue(best_plus[0], M),
+        extent=extent,
+        disc_plus=ScaledValue(plus, M),
         disc_plus_witness=(plus_box, plus_color),
         disc=disc_val,
         disc_witness=disc_wit,
@@ -598,7 +613,8 @@ def geometric_discrepancy(points, G: int, d: int | None = None) -> GeoDisc:
 
     Boxes are products of [a_i/G, c_i/G) with integer 0 <= a_i < c_i <= G.
     The deviation |#points in box - n * vol(box)| is computed exactly with
-    integers scaled by G^d.  The witness is the lexicographically smallest
+    integers scaled by G^d, as the box sum of the per-cell weight
+    G^d * count - n.  The witness is the lexicographically smallest
     (lower corner, upper corner) attaining the maximum.  ``d`` is only
     needed when ``points`` is empty (dimension cannot be inferred).
     """
@@ -611,36 +627,17 @@ def geometric_discrepancy(points, G: int, d: int | None = None) -> GeoDisc:
         if any(not 0 <= v < G for v in cell):
             raise ParameterError("point outside [0, 1)^d")
         counts[cell] += 1
-    table = counts
-    for axis in range(d):
-        table = np.cumsum(table, axis=axis)
-    prefix = np.zeros((G + 1,) * d, dtype=np.int64)
-    prefix[(slice(1, None),) * d] = table
-
     scale = G**d
-    best = None  # (scaled_abs, (a_vec, c_vec))
-    pairs = [(a, c) for a in range(G) for c in range(a + 1, G + 1)]
-    for combo in itertools.product(*([pairs] * d)):
-        a_vec = tuple(p[0] for p in combo)
-        c_vec = tuple(p[1] for p in combo)
-        count = 0
-        for picks in itertools.product(*[((c, 0), (a, 1)) for a, c in combo]):
-            idx = tuple(p[0] for p in picks)
-            sign = -1 if sum(p[1] for p in picks) % 2 else 1
-            count += sign * int(prefix[idx])
-        vol_num = 1
-        for a, c in combo:
-            vol_num *= c - a
-        dev = abs(count * scale - n * vol_num)
-        key = (a_vec, c_vec)
-        if best is None or dev > best[0] or (dev == best[0] and key < best[1]):
-            best = (dev, key)
+    weights = scale * np.arange(n + 1, dtype=np.int64)[None, :] - n
+    tracks = _scan_boxes(counts, weights)
+    value = max(int(peaks[0]) for peaks, _ in tracks)
+    lo, hi, _ = min(key for peaks, key in tracks if peaks[0] == value)
     return GeoDisc(
-        value=Fraction(best[0], scale),
-        scaled_num=best[0],
+        value=Fraction(value, scale),
+        scaled_num=value,
         scale=scale,
-        witness_lo=best[1][0],
-        witness_hi=best[1][1],
+        witness_lo=tuple(a - 1 for a in lo),
+        witness_hi=hi,
     )
 
 
@@ -659,7 +656,7 @@ class WitnessCertificate:
     side: int  # the scanned subgrid is [side]^d
 
 
-def _scan_color_boxes(grid: np.ndarray, M: int, color: int):
+def _witness_box(grid: np.ndarray, M: int, color: int) -> tuple[int, Box]:
     """Max |M*count - |B|| over all boxes of the grid for one color.
 
     Returns (signed deviation at the winning box, Box).  Among boxes of
@@ -668,32 +665,11 @@ def _scan_color_boxes(grid: np.ndarray, M: int, color: int):
     attained by negative boxes alone); remaining ties go to the
     lexicographically smallest (lo, hi).
     """
-    d = grid.ndim
-    side = grid.shape[0]
-    part = (grid == color).astype(np.int64)
-    for axis in range(d):
-        part = np.cumsum(part, axis=axis)
-    prefix = np.zeros((side + 1,) * d, dtype=np.int64)
-    prefix[(slice(1, None),) * d] = part
-    pairs = [(lo, hi) for lo in range(1, side + 1) for hi in range(lo, side + 1)]
-    best = None  # (abs_dev, signed_dev, (lo_vec, hi_vec))
-    for combo in itertools.product(*([pairs] * d)):
-        lo_vec = tuple(p[0] for p in combo)
-        hi_vec = tuple(p[1] for p in combo)
-        count = 0
-        for picks in itertools.product(*[((hi, 0), (lo - 1, 1)) for lo, hi in combo]):
-            idx = tuple(p[0] for p in picks)
-            sign = -1 if sum(p[1] for p in picks) % 2 else 1
-            count += sign * int(prefix[idx])
-        size = 1
-        for lo, hi in combo:
-            size *= hi - lo + 1
-        dev = M * count - size
-        key = (lo_vec, hi_vec)
-        rank = (abs(dev), dev > 0, _neg(key))
-        if best is None or rank > best[0]:
-            best = (rank, dev, key)
-    return best[1], Box(lo=best[2][0], hi=best[2][1])
+    weights = M * (np.arange(M + 1) == color).astype(np.int64)[None, :] - 1
+    (over, over_key), (under, under_key) = _scan_boxes(grid, weights)
+    if over[0] >= under[0]:
+        return int(over[0]), Box(lo=over_key[0], hi=over_key[1])
+    return -int(under[0]), Box(lo=under_key[0], hi=under_key[1])
 
 
 def find_positive_witness(coloring: LatinColoring | Scheme) -> WitnessCertificate:
@@ -727,20 +703,14 @@ def find_positive_witness(coloring: LatinColoring | Scheme) -> WitnessCertificat
         total = attempt_side**d
         # smallest over-represented color: M * count >= side^d
         color = next(c + 1 for c in range(M) if M * int(tally[c]) >= total)
-        dev, box = _scan_color_boxes(grid, M, color)
+        dev, box = _witness_box(grid, M, color)
         if dev > 0:
             return WitnessCertificate(box=box, color=color, value=ScaledValue(dev, M), side=attempt_side)
         if dev < 0:
             pieces = complement_decompose(box, attempt_side)
             counter = RangeCounter(grid, attempt_side, M=M)
-            best = None
-            for piece in pieces:
-                pdev = M * counter.count(piece, color) - piece.cardinality
-                cand = (pdev, _neg(piece.key()))
-                if best is None or cand > best:
-                    best = cand
-                    best_piece = piece
-            pos = best[0]
+            devs = [M * counter.count(piece, color) - piece.cardinality for piece in pieces]
+            pos, best_piece = min(zip(devs, pieces), key=lambda pair: (-pair[0], pair[1].key()))
             if pos <= 0:
                 raise AssertionError("complement of a negative box must contain a positive piece")
             return WitnessCertificate(

@@ -232,6 +232,14 @@ def test_witness(cyclic8, capsys):
     assert "box [" in stdout
 
 
+def test_witness_budget(cyclic8, capsys, monkeypatch):
+    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "10")
+    code, stdout, stderr = run(capsys, "witness", "--scheme", str(cyclic8))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "budget" in stderr
+
+
 # -- sweep ---------------------------------------------------------------------------
 
 

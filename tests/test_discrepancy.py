@@ -10,20 +10,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from decluster import discrepancy
 from decluster.coloring import LatinColoring, color_grid, make_baseline
 from decluster.discrepancy import (
     Box,
     RangeCounter,
     ScaledValue,
+    _witness_box,
     complement_decompose,
-    count_in_box,
     disc_report,
     find_positive_witness,
     fold_box_to_period,
     geometric_discrepancy,
     periodic_box_counts,
     report_to_dict,
-    response_time,
     save_report,
 )
 from decluster.errors import BudgetExceededError, ParameterError
@@ -73,16 +73,16 @@ def test_box_coerces_numpy_ints():
 
 
 def test_count_worked_examples():
-    scheme = make_baseline("cyclic", 4, 2)
+    counter = RangeCounter(make_baseline("cyclic", 4, 2), 4)
     # one full row of the period grid holds each color exactly once
-    assert count_in_box(scheme, 4, Box(lo=(1, 1), hi=(1, 4)), 3) == 1
+    assert counter.count(Box(lo=(1, 1), hi=(1, 4)), 3) == 1
     # the full period box holds each color M^(d-1) times
     full = Box(lo=(1, 1), hi=(4, 4))
     for c in range(1, 5):
-        assert count_in_box(scheme, 4, full, c) == 4
-    assert response_time(scheme, 4, full) == 4
-    assert count_in_box(scheme, 4, Box.empty(2), 2) == 0
-    assert response_time(scheme, 4, Box.empty(2)) == 0
+        assert counter.count(full, c) == 4
+    assert counter.counts(full).max() == 4
+    assert counter.count(Box.empty(2), 2) == 0
+    assert counter.counts(Box.empty(2)).max() == 0
 
 
 def test_counter_rejects_bad_queries():
@@ -336,6 +336,24 @@ def test_extent_below_period():
     assert want["plus"] >= 1
 
 
+def test_report_pinned_where_slabs_span_many_chunks():
+    # These scans cut their slabs into 35 and 13 chunks; the literals come
+    # from the per-slab scan the chunked kernel replaced, so a tie resolved
+    # within one chunk instead of across all of them changes a witness.
+    cases = {
+        (8, 2, 40): (16, 16, ((1, 1), (4, 4), 8), ((1, 1), (4, 4), 4), (16,) * 8, (16,) * 8),
+        (5, 3, 9): (8, 8, ((1, 1, 1), (2, 2, 3), 3), ((1, 1, 1), (2, 2, 2), 1), (8,) * 5, (8,) * 5),
+    }
+    for (M, d, N), (plus, full, plus_key, abs_key, per_plus, per_abs) in cases.items():
+        rep = disc_report(make_baseline("cyclic", M, d), N)
+        box, color = rep.disc_plus_witness
+        abox, acolor = rep.disc_witness
+        assert rep.disc_plus.num == plus and rep.disc.num == full
+        assert (box.lo, box.hi, color) == plus_key
+        assert (abox.lo, abox.hi, acolor) == abs_key
+        assert rep.per_color_plus == per_plus and rep.per_color_abs == per_abs
+
+
 # -- tiling algebra ---------------------------------------------------------------
 
 
@@ -452,6 +470,16 @@ def test_geometric_accepts_net_directly():
     assert geo.scale == 16
 
 
+@pytest.mark.parametrize("chunk", [discrepancy._CHUNK_ELEMS, 64])
+def test_geometric_net_at_sixteen_matches_naive(monkeypatch, chunk):
+    # 64-element chunks split the 136 slabs of G=16 into 46 chunks
+    monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk)
+    net = net_from_generators(pascal_power_generators(2, 2, 6))
+    geo = geometric_discrepancy(net, 16)
+    cells = [tuple(int(v) for v in row) for row in (net.coord_ints() * 16) // 2**6]
+    assert (geo.scaled_num, (geo.witness_lo, geo.witness_hi)) == naive_geometric(cells, 64, 16, 2)
+
+
 def test_geometric_rejects_bad_input():
     with pytest.raises(ParameterError):
         geometric_discrepancy([(Fraction(1, 2),)], 0)
@@ -465,7 +493,7 @@ def test_geometric_rejects_bad_input():
 
 
 def test_witness_cyclic_two_dimensional():
-    for M in (8, 16):
+    for M in (8, 16, 64):
         cert = find_positive_witness(make_baseline("cyclic", M, 2))
         assert cert.value.num > 0
         assert cert.side == M
@@ -528,6 +556,41 @@ def test_witness_random_schemes_agree_with_report():
         assert 0 < cert.value.num <= rep.disc_plus.num
 
 
+def _brute_witness(grid, M, color):
+    """Every box one at a time, ranked by (|dev|, dev > 0, lex-min (lo, hi))."""
+    side = grid.shape[0]
+    pairs = [(lo, hi) for lo in range(1, side + 1) for hi in range(lo, side + 1)]
+    best = None
+    for combo in itertools.product(pairs, repeat=grid.ndim):
+        cells = grid[tuple(slice(lo - 1, hi) for lo, hi in combo)]
+        dev = M * int((cells == color).sum()) - cells.size
+        key = (tuple(lo for lo, _ in combo), tuple(hi for _, hi in combo))
+        rank = (abs(dev), dev > 0)
+        if best is None or rank > best[0] or (rank == best[0] and key < best[2]):
+            best = (rank, dev, key)
+    return best[1], Box(lo=best[2][0], hi=best[2][1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=4),
+    M=st.integers(min_value=2, max_value=6),
+    cyclic=st.booleans(),
+    data=st.data(),
+)
+def test_witness_scan_matches_brute_force(d, M, cyclic, data):
+    side = data.draw(st.integers(1, {2: 6, 3: 4, 4: 3}[d]), label="side")
+    if cyclic:  # tie-heavy: every color class is a shifted diagonal family
+        skews = data.draw(st.lists(st.integers(1, M), min_size=d, max_size=d), label="skews")
+        coords = np.indices((side,) * d)
+        grid = sum(a * x for a, x in zip(skews, coords)) % M + 1
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        grid = rng.integers(1, M + 1, size=(side,) * d)
+    color = data.draw(st.integers(1, M), label="color")
+    assert _witness_box(grid, M, color) == _brute_witness(grid, M, color)
+
+
 # -- budget guard -------------------------------------------------------------------
 
 
@@ -546,6 +609,14 @@ def test_budget_guard_env_var(monkeypatch):
     monkeypatch.setenv("DECLUSTER_MAX_CELLS", "not a number")
     with pytest.raises(ParameterError):
         disc_report(make_baseline("cyclic", 4, 2), 4)
+
+
+def test_budget_guard_witness_and_geometric(monkeypatch):
+    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "10")
+    with pytest.raises(BudgetExceededError):
+        find_positive_witness(make_baseline("cyclic", 4, 2))
+    with pytest.raises(BudgetExceededError):
+        geometric_discrepancy([(Fraction(1, 2), Fraction(1, 2))], 4)
 
 
 # -- serialization --------------------------------------------------------------------

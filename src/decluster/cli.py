@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extent", type=int, required=True, metavar="N")
     p.add_argument("--positive-only", action="store_true")
     p.add_argument("--report", default=None, metavar="report.json")
-    p.add_argument("--max-cells", type=int, default=None, help="evaluation budget for N^d*M")
+    p.add_argument("--max-cells", type=int, default=None, help="cell budget of the scan")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("query", help="response time and per-disk counts of one box")

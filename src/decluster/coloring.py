@@ -380,12 +380,13 @@ def scheme_from_dict(data: dict) -> Scheme:
             f"anchor map is not row-balanced: axis {check.axis} row at "
             f"{check.row_lo}..{check.row_hi} carries colors {check.colors}"
         )
-    return Scheme(
-        coloring=coloring,
-        mode=mode,
-        provenance=data.get("provenance", {}),
-        warnings=tuple(data.get("warnings", ())),
-    )
+    provenance = data.get("provenance", {})
+    warnings = data.get("warnings", [])
+    if not isinstance(provenance, dict):
+        raise SchemeFormatError(f"provenance must be an object, got {provenance!r}")
+    if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+        raise SchemeFormatError(f"warnings must be a list of strings, got {warnings!r}")
+    return Scheme(coloring=coloring, mode=mode, provenance=provenance, warnings=tuple(warnings))
 
 
 def scheme_to_json_bytes(scheme: Scheme) -> bytes:

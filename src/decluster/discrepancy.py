@@ -10,22 +10,29 @@ Every deviation is an integer multiple of 1/M, so all values are carried as
 integers scaled by M (``ScaledValue``) and every comparison is exact.
 
 One kernel, ``_scan_boxes``, does every all-boxes scan.  Given K integer
-weight planes on [N]^d it returns, per plane, the largest box sum of the
-plane and of its negation, each with the lexicographically smallest (lower
-corner, upper corner, plane) attaining the overall largest.  It forms prefix
-sums over axes 2..d once and takes the coordinate ranges of axes 2..d
-("slabs") in chunks of a fixed number of elements, making slab indices per
-chunk, so memory does not grow with the number of slabs.  Per chunk, one
-vectorised inclusion-exclusion gives every slab's line sums along axis 1,
-and a maximum-subarray sweep of their prefix sums (Bentley, Programming
-Pearls, CACM 1984) gives the best axis-1 range for every right end at once.
-Work is O(K * N^(2d-1)), the prefix table holds K * N * (N+1)^(d-1)
-integers, and ties are resolved across all chunks, not within one.
+weight planes on an axis-1 extent of N + W - 1 cells times [N]^(d-1), it
+returns, per plane and per axis-1 window of N cells (W windows, one step
+apart), the largest box sum of the plane and of its negation, each with the
+lexicographically smallest (lower corner, upper corner, plane and window)
+attaining the overall largest.  It forms prefix sums over axes 2..d once
+and takes the coordinate ranges of axes 2..d ("slabs") in chunks of a fixed
+number of elements, making slab indices per chunk, so memory does not grow
+with the number of slabs.  Per chunk, one vectorised inclusion-exclusion
+gives every slab's line sums along axis 1, and a maximum-subarray sweep of
+their prefix sums (Bentley, Programming Pearls, CACM 1984) gives the best
+axis-1 range of every window at once: all windows share the prefix index
+p = W - 1, so a window's best range lies left of p, right of p, or across
+it, and running maxima and minima give all three for every window in
+O(N + W) per slab.  Work is O(K * (N + W) * N^(2d-2)), the prefix table
+holds K * (N + W - 1) * (N+1)^(d-1) integers, and ties are resolved across
+all chunks, not within one.
 
 Its three callers rank the result by their own tie rule:
 
-- ``disc_report``: one plane M * [color = c] - 1 per color.  disc+ is the
-  largest sum and disc the largest magnitude, each witnessed by the lex-min
+- ``disc_report``: one plane M * [color = c] - 1 per color and one window,
+  or, for a latin coloring at N >= M, the plane of color 1 under M windows
+  (window c - 1 is color c, by the shift property).  disc+ is the largest
+  sum and disc the largest magnitude, each witnessed by the lex-min
   (lo, hi, color) attaining it.
 - ``find_positive_witness``: one plane for the chosen color, ranked by
   (|deviation|, deviation > 0, lex-min (lo, hi)).
@@ -55,6 +62,12 @@ from .nets import DigitalNet
 MAX_CELLS_ENV = "DECLUSTER_MAX_CELLS"
 DEFAULT_MAX_CELLS = 10**8
 
+# Elements per temporary of one scan chunk (N + W, slabs, planes) or one
+# block of a periodic query's outer product: enough per numpy call to spread
+# its fixed cost, few enough to stay in cache and, at 64 KiB, below the size
+# at which glibc's malloc serves (and returns) memory by mmap on every call.
+_CHUNK_ELEMS = 8192
+
 
 def _max_cells(override: int | None) -> int:
     if override is not None:
@@ -68,12 +81,12 @@ def _max_cells(override: int | None) -> int:
         raise ParameterError(f"{MAX_CELLS_ENV}={raw!r} is not an integer") from exc
 
 
-def _check_budget(extent: int, d: int, planes: int, max_cells: int | None) -> None:
+def _check_budget(cells: int, formula: str, max_cells: int | None) -> None:
+    """Refuse a job of ``cells`` cells (spelled out by ``formula``) over budget."""
     budget = _max_cells(max_cells)
-    cells = extent**d * planes
     if cells > budget:
         raise BudgetExceededError(
-            f"N^d * planes = {extent}^{d} * {planes} = {cells} exceeds the cell budget "
+            f"{formula} = {cells} cells exceeds the cell budget "
             f"{budget} (raise {MAX_CELLS_ENV} or pass max_cells to override)"
         )
 
@@ -223,7 +236,7 @@ class RangeCounter:
 
     def __init__(self, source, extent: int, *, M: int | None = None, max_cells: int | None = None):
         grid, M_, d = _resolve_grid(source, extent, M)
-        _check_budget(extent, d, M_, max_cells)
+        _check_budget(extent**d * M_, f"N^d * colors = {extent}^{d} * {M_}", max_cells)
         self.M = M_
         self.d = d
         self.extent = extent
@@ -286,9 +299,11 @@ def periodic_box_counts(source, box: Box) -> np.ndarray:
     window of r = L_1 mod M residues that starts at s = (lo_1 - 1) mod M.
     Hence counts[c] = q * sum(h) + (sum of h over the cyclic window of
     length r starting at (s - c) mod M), read off one prefix sum of h
-    concatenated with itself.  h is one scatter-add of the trailing
-    per-axis outer product onto the anchor values, so a call costs
-    O(M^(d-1)) time and memory whatever the box's size or position.
+    concatenated with itself.  h is a scatter-add of the trailing per-axis
+    outer product onto the anchor values, taken in blocks of x_2 values of
+    at most ``_CHUNK_ELEMS`` elements, so a call costs O(M^(d-1)) time and
+    O(M^(d-2)) memory besides the anchor map, whatever the box's size or
+    position.
 
     Every intermediate is at most 2|B|, so boxes of 2^62 blocks or more
     are refused with ParameterError instead of wrapping int64.  Accepts a
@@ -307,13 +322,16 @@ def periodic_box_counts(source, box: Box) -> np.ndarray:
             f"box {box} holds {box.cardinality} blocks; periodic counts are "
             "exact only below 2^62"
         )
-    trailing = functools.reduce(
-        np.multiply.outer,
-        [_residue_hits(lo, hi, M) for lo, hi in zip(box.lo[1:], box.hi[1:])],
-        np.ones((), dtype=np.int64),
-    )
-    h = np.zeros(M, dtype=np.int64)
-    np.add.at(h, coloring.anchor_tensor().reshape(-1) - 1, trailing.reshape(-1))
+    hits = [_residue_hits(lo, hi, M) for lo, hi in zip(box.lo[1:], box.hi[1:])]
+    lead = hits[0] if hits else np.ones(1, dtype=np.int64)
+    inner = functools.reduce(np.multiply.outer, hits[1:], np.ones((), dtype=np.int64)).reshape(-1)
+    anchors = coloring.anchor_tensor().reshape(-1)
+    h = np.zeros(M + 1, dtype=np.int64)  # indexed by anchor value
+    rows = max(1, _CHUNK_ELEMS // inner.size)  # x_2 values per block of the outer product
+    for at in range(0, len(lead), rows):
+        part = np.multiply.outer(lead[at : at + rows], inner).reshape(-1)
+        np.add.at(h, anchors[at * inner.size : at * inner.size + part.size], part)
+    h = h[1:]
     q, r = divmod(box.hi[0] - box.lo[0] + 1, M)
     prefix = np.zeros(2 * M + 1, dtype=np.int64)
     np.cumsum(np.concatenate((h, h)), out=prefix[1:])
@@ -333,69 +351,121 @@ def _box_color_counts(grid: np.ndarray, box: Box, M: int) -> np.ndarray:
     return np.bincount(grid[sl].reshape(-1), minlength=M + 1)[1:].astype(np.int64)
 
 
-def _validate_witness(grid, M, box, color):
-    """Exact recheck of a reported witness: value and zero-sum across colors."""
-    counts = _box_color_counts(grid, box, M)
-    devs = M * counts - box.cardinality
+def _validate_witness(counts: np.ndarray, box: Box, color: int) -> int:
+    """Exact recheck of a reported witness from its recounted per-color counts.
+
+    The deviations must sum to zero; returns the given color's deviation.
+    """
+    devs = len(counts) * counts - box.cardinality
     if int(devs.sum()) != 0:
         raise AssertionError(f"deviations of box {box} sum to {int(devs.sum())}, not 0")
     return int(devs[color - 1])
 
 
-# Elements per (N + 1, slabs, planes) temporary of one scan chunk: enough
-# slabs per numpy call to spread its fixed cost, few enough to stay in cache
-# and add well under a MiB to peak memory.
-_CHUNK_ELEMS = 8192
+def _window_best(S: np.ndarray, W: int) -> np.ndarray:
+    """Largest S[j] - S[i] over i < j inside each prefix-index window [s, s+N].
 
-
-def _lex_min_key(hits, floor, lo_t, hi_t) -> tuple:
-    """Lex-min (lo, hi, plane) among the boxes of one chunk flagged in ``hits``.
-
-    ``hits[i, s, k]`` flags axis-1 right end i + 1, slab s, plane k; the
-    box's axis-1 left end is one past the first prefix index at which the
-    running minimum ``floor`` reached ``floor[i, s, k]``.
+    ``S`` holds prefix sums along axis 0 (length N + W, N >= W); returns the
+    maxima for s = 0..W-1 along axis 0.  Every window contains p = W - 1
+    with at least one right end past it, so a window's best pair lies in
+    [s, p], or in [p, s+N], or straddles p; each part is a running maximum
+    or minimum, so the cost is O(N + W), not O(W * N).
     """
-    moved = np.ones(floor.shape, dtype=bool)
-    moved[1:] = floor[1:] != floor[:-1]
-    index = np.arange(len(floor), dtype=np.int64).reshape(-1, 1, 1)
-    first = np.maximum.accumulate(np.where(moved, index, 0), axis=0)
-    i, s, k = np.nonzero(hits)
-    cols = [first[i, s, k] + 1, *(lo[s] for lo in lo_t), i + 1, *(hi[s] for hi in hi_t), k + 1]
-    j = np.lexsort(cols[::-1])[0]
+    N, p = len(S) - W, W - 1
+    gain = S[p + 1 :] - np.minimum.accumulate(S[p:-1], axis=0)  # best ending at j > p
+    best = np.maximum.accumulate(gain[N - W :], axis=0)  # window s ends at s + N
+    if N > W:  # right ends every window contains
+        np.maximum(best, gain[: N - W].max(axis=0), out=best)
+    if p:
+        rise = np.maximum.accumulate(S[p + 1 :], axis=0)[N - W : N - 1]  # max over (p, s+N]
+        low = np.minimum.accumulate(S[p - 1 :: -1], axis=0)[::-1]  # min over [s, p)
+        top = np.maximum.accumulate(S[p:0:-1], axis=0)[::-1]  # max over (i, p]
+        inner = np.maximum.accumulate((top - S[:p])[::-1], axis=0)[::-1]  # pair in [s, p]
+        np.maximum(best[:p], np.maximum(rise - low, inner), out=best[:p])
+    return best
+
+
+def _lex_min_box(S: np.ndarray, hits: np.ndarray, peak: int, lo_t, hi_t) -> tuple:
+    """Lex-min (lo, hi, index) among the windows of one chunk flagged in ``hits``.
+
+    ``hits[s, slab, k]`` flags window [s, s+N] of plane k on one slab whose
+    best pair of ``S`` reaches ``peak``.  Each flagged window's prefix sums
+    are gathered; its first left index i reaching ``peak``, then the first
+    right index j with S[j] - S[i] = peak, give the window-relative axis-1
+    range [i+1, j].  The index is k*W + w + 1 with w = W - 1 - s.
+    """
+    W = hits.shape[0]
+    span = np.arange(len(S) - W + 1)
+    s, slab, k = np.nonzero(hits)
+    batch = max(1, _CHUNK_ELEMS // len(span))  # bounds the gathered windows
+    best = None
+    for at in range(0, len(s), batch):
+        s_, slab_, k_ = s[at : at + batch], slab[at : at + batch], k[at : at + batch]
+        rows = S[s_[:, None] + span, slab_[:, None], k_[:, None]]
+        reach = np.maximum.accumulate(rows[:, :0:-1], axis=1)[:, ::-1] - rows[:, :-1]
+        i = np.argmax(reach == peak, axis=1)
+        base = rows[np.arange(len(i)), i][:, None]
+        j = np.argmax((rows - base == peak) & (span > i[:, None]), axis=1)
+        cols = [i + 1, *(lo[slab_] for lo in lo_t), j, *(hi[slab_] for hi in hi_t), k_ * W + W - s_]
+        pick = np.lexsort(cols[::-1])[0]
+        key = tuple(int(c[pick]) for c in cols)
+        best = key if best is None else min(best, key)
     d = len(lo_t) + 1
-    key = [int(c[j]) for c in cols]
-    return tuple(key[:d]), tuple(key[d : 2 * d]), key[-1]
+    return best[:d], best[d : 2 * d], best[-1]
+
+
+def _may_precede(lo_t, lo: tuple, slabs: int) -> np.ndarray:
+    """Per slab, whether a box on it can have lower corner <= ``lo``.
+
+    A box's lower corner is (lo_1, *lo_t) with lo_1 >= 1; the comparison
+    is lexicographic.
+    """
+    below = np.full(slabs, 1 < lo[0])
+    level = np.full(slabs, 1 == lo[0])
+    for col, ref in zip(lo_t, lo[1:]):
+        below |= level & (col < ref)
+        level &= col == ref
+    return below | level
 
 
 def _scan_boxes(
     labels: np.ndarray,
     weights: np.ndarray,
     *,
+    windows: int = 1,
     signs: tuple[int, ...] = (1, -1),
     max_cells: int | None = None,
 ) -> list:
-    """Largest box sums of K weight planes on [N]^d and of their negations.
+    """Largest box sums of K weight planes in W axis-1 windows, and of their negations.
 
     Plane k gives cell x the integer weight ``weights[k, labels[x]]``, where
-    ``labels`` is an int array of shape (N,)*d and ``weights`` a (K, L)
-    int64 table.  Returns one (peaks, key) per entry of ``signs``: peaks[k]
-    is the largest box sum of sign * plane k, and key the lex-min (lo, hi,
-    plane) attaining peaks.max(), with 1-based inclusive corners and plane.
-    The cell budget counts K * N^d and is checked before any allocation.
+    ``labels`` is an int array of shape (N + W - 1,) + (N,) * (d - 1), N >= W,
+    and ``weights`` a (K, labels) int64 table.  Window w is the N consecutive
+    axis-1 cells that end w cells before the last; a box in it has axis-1
+    corners counted from the window's first cell.  Returns one (peaks, key)
+    per entry of ``signs``: peaks[k*W + w] is the largest box sum of
+    sign * plane k in window w, and key the lex-min (lo, hi, k*W + w + 1)
+    attaining peaks.max(), with 1-based inclusive corners.  The cell budget
+    counts (N + W - 1) * N^(d-1) * K and is checked before any allocation.
     """
-    N, d, K = labels.shape[0], labels.ndim, weights.shape[0]
-    _check_budget(N, d, K, max_cells)
+    L, d, K, W = labels.shape[0], labels.ndim, weights.shape[0], windows
+    N = L - W + 1
+    _check_budget(
+        L * N ** (d - 1) * K,
+        f"(N+W-1) * N^(d-1) * planes = {L} * {N}^{d - 1} * {K}",
+        max_cells,
+    )
 
     # prefix[x_1, j_2, .., j_d, k]: plane k's weight on row x_1 over the
     # trailing coordinates [1, j_i] (index 0 = none).  Axis 1 comes first so
     # that the sweeps along it run over contiguous (slab, plane) vectors.
-    prefix = np.zeros((N,) + (N + 1,) * (d - 1) + (K,), dtype=np.int64)
+    prefix = np.zeros((L,) + (N + 1,) * (d - 1) + (K,), dtype=np.int64)
     inner = prefix[(slice(None),) + (slice(1, None),) * (d - 1)]
-    for k in range(K):  # plane by plane, so no K * N^d temporary
+    for k in range(K):  # plane by plane, so no K * L * N^(d-1) temporary
         inner[..., k] = weights[k][labels]
     for axis in range(1, d):
         np.cumsum(prefix, axis=axis, out=prefix)
-    prefix = prefix.reshape(N, -1, K)
+    prefix = prefix.reshape(L, -1, K)
     strides = [(N + 1) ** (d - 2 - a) for a in range(d - 1)]
 
     pair_lo, pair_hi = np.triu_indices(N)  # 0-based lo <= hi, one per axis range
@@ -403,9 +473,9 @@ def _scan_boxes(
     pair_hi += 1
     ranges = len(pair_lo)
     slabs = ranges ** (d - 1)
-    step = max(1, _CHUNK_ELEMS // (K * (N + 1)))
+    step = max(1, _CHUNK_ELEMS // (K * (L + 1)))
 
-    tracks = [[np.full(K, np.iinfo(np.int64).min, dtype=np.int64), None] for _ in signs]
+    tracks = [[np.full(K * W, np.iinfo(np.int64).min, dtype=np.int64), None] for _ in signs]
     for start in range(0, slabs, step):
         rest = np.arange(start, min(start + step, slabs), dtype=np.int64)
         lo_t, hi_t = [], []
@@ -425,19 +495,44 @@ def _scan_boxes(
                 lines += term
             else:
                 lines -= term
-        sums = np.zeros((N + 1,) + lines.shape[1:], dtype=np.int64)
+        sums = np.zeros((L + 1,) + lines.shape[1:], dtype=np.int64)
         np.cumsum(lines, axis=0, out=sums[1:])
         for sign, track in zip(signs, tracks):
             S = sums if sign > 0 else -sums
-            floor = np.minimum.accumulate(S[:-1], axis=0)
-            best = S[1:] - floor  # largest sum ending at each axis-1 right end
-            top = best.max(axis=(0, 1))
+            best = _window_best(S, W)  # (W, slabs, K), window w at row W - 1 - w
+            top = best.max(axis=1)[::-1].T.reshape(-1)
             peak, so_far = int(top.max()), int(track[0].max())
-            if peak >= so_far:
-                key = _lex_min_key(best == peak, floor, lo_t, hi_t)
-                track[1] = key if peak > so_far else min(track[1], key)
+            if peak > so_far:
+                track[1] = _lex_min_box(S, best == peak, peak, lo_t, hi_t)
+            elif peak == so_far:  # a tie: only slabs that could still precede the kept key
+                hits = (best == peak) & _may_precede(lo_t, track[1][0], len(rest))[:, None]
+                if hits.any():
+                    track[1] = min(track[1], _lex_min_box(S, hits, peak, lo_t, hi_t))
             np.maximum(track[0], top, out=track[0])
     return tracks
+
+
+def _scan_input(source, extent: int, M: int | None):
+    """What ``disc_report`` scans: (labels, weights, windows, recount, M, d).
+
+    A latin coloring at extent >= M becomes one plane, M * [color = 1] - 1,
+    on axis-1 cells e = 1..N+M-1 (real x_1 = e - (M-1)) with M windows;
+    anything else becomes M planes M * [color = c] - 1 on [N]^d.  ``recount``
+    gives a box's per-color counts by a route independent of the scan.
+    """
+    coloring = source.coloring if isinstance(source, Scheme) else source
+    if isinstance(coloring, LatinColoring) and extent >= coloring.M:
+        M, d = coloring.M, coloring.d
+        resid = np.arange(extent, dtype=np.int64) % M
+        anchors = coloring.anchor_tensor()[np.ix_(*[resid] * (d - 1))] - 1  # (N,)*(d-1)
+        e = np.arange(1, extent + M, dtype=np.int64).reshape((-1,) + (1,) * (d - 1))
+        labels = (e - anchors) % M  # color - 1 of the real cell (e - (M-1), u)
+        weights = M * (np.arange(M) == 0).astype(np.int64)[None, :] - 1
+        return labels, weights, M, functools.partial(periodic_box_counts, coloring), M, d
+    grid, M, d = _resolve_grid(source, extent, M)
+    colors = np.arange(1, M + 1, dtype=np.int64)
+    weights = M * (colors[:, None] == np.arange(M + 1)).astype(np.int64) - 1
+    return grid, weights, 1, lambda box: _box_color_counts(grid, box, M), M, d
 
 
 def disc_report(
@@ -450,22 +545,44 @@ def disc_report(
 ) -> DiscReport:
     """Exact disc / disc_plus over every box of [extent]^d, with witnesses.
 
-    One ``_scan_boxes`` pass over the planes M * [color = c] - 1, whose box
-    sums are the deviations M * count - |B|.  All arithmetic is integer.
-    ``positive_only`` skips the absolute-value track.
+    Box sums of the plane M * [color = c] - 1 are the deviations
+    M * count - |B|; all arithmetic is integer.  ``positive_only`` skips the
+    absolute-value track.
+
+    A raw array, or a coloring at extent N < M, is scanned as M planes, one
+    per color.  A ``Scheme`` / ``LatinColoring`` at N >= M is scanned as
+    the single plane of color 1 on the extended axis-1 cells e = 1..N+M-1,
+    real x_1 = e - (M-1), under M windows, window c-1 standing for color c:
+
+        color c's boxes [a, b] x U of [N]^d are exactly color 1's boxes
+        [a + M - c, b + M - c] x U in extended coordinates.
+
+    Proof: by the shift property (``coloring`` module docstring) cell
+    (x_1, u) has color c iff cell (x_1 - (c-1), u) of the unbounded tiling
+    has color 1, so the two boxes hold the same count and have the same
+    size.  Over a, b in [1, N] the extended range runs over every box of
+    the cells e = M-c+1 .. M-c+N, which is window c-1.  The per-color
+    vectors, disc, disc+ and both lex-min witnesses (window-relative
+    corners are the real corners of color c) therefore come out exactly.
+
+    Every witness is recounted independently (the grid for M planes, the
+    anchor histogram ``periodic_box_counts`` for one plane), its deviations
+    must sum to zero, and disc/(M-1) <= disc_plus <= disc is checked.
     """
     start = time.perf_counter()
-    grid, M, d = _resolve_grid(source, extent, M)
-    colors = np.arange(1, M + 1, dtype=np.int64)
-    weights = M * (colors[:, None] == np.arange(M + 1)).astype(np.int64) - 1
+    labels, weights, windows, recount, M, d = _scan_input(source, extent, M)
     tracks = _scan_boxes(
-        grid, weights, signs=(1,) if positive_only else (1, -1), max_cells=max_cells
+        labels,
+        weights,
+        windows=windows,
+        signs=(1,) if positive_only else (1, -1),
+        max_cells=max_cells,
     )
 
     plus_col, (plus_lo, plus_hi, plus_color) = tracks[0]
     plus = int(plus_col.max())
     plus_box = Box(lo=plus_lo, hi=plus_hi)
-    check = _validate_witness(grid, M, plus_box, plus_color)
+    check = _validate_witness(recount(plus_box), plus_box, plus_color)
     if check != plus:
         raise AssertionError(
             f"witness recount mismatch: box {plus_box} color {plus_color} "
@@ -478,7 +595,7 @@ def disc_report(
         disc = max(int(peaks.max()) for peaks, _ in tracks)
         abs_lo, abs_hi, abs_color = min(key for peaks, key in tracks if peaks.max() == disc)
         abs_box = Box(lo=abs_lo, hi=abs_hi)
-        check = _validate_witness(grid, M, abs_box, abs_color)
+        check = _validate_witness(recount(abs_box), abs_box, abs_color)
         if abs(check) != disc:
             raise AssertionError(
                 f"witness recount mismatch: box {abs_box} color {abs_color} "
@@ -708,8 +825,10 @@ def find_positive_witness(coloring: LatinColoring | Scheme) -> WitnessCertificat
             return WitnessCertificate(box=box, color=color, value=ScaledValue(dev, M), side=attempt_side)
         if dev < 0:
             pieces = complement_decompose(box, attempt_side)
-            counter = RangeCounter(grid, attempt_side, M=M)
-            devs = [M * counter.count(piece, color) - piece.cardinality for piece in pieces]
+            devs = [
+                M * int(_box_color_counts(grid, piece, M)[color - 1]) - piece.cardinality
+                for piece in pieces
+            ]
             pos, best_piece = min(zip(devs, pieces), key=lambda pair: (-pair[0], pair[1].key()))
             if pos <= 0:
                 raise AssertionError("complement of a negative box must contain a positive piece")

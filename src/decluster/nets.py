@@ -483,6 +483,42 @@ def load_net(path) -> DigitalNet:
         return net_from_dict(json.load(fh))
 
 
+def _int_lists(value, depth: int) -> bool:
+    """Whether ``value`` is a list nested ``depth`` deep with integer leaves."""
+    if depth == 0:
+        return isinstance(value, int)
+    return isinstance(value, list) and all(_int_lists(v, depth - 1) for v in value)
+
+
+def check_net_provenance(record) -> None:
+    """Refuse a provenance record whose shape ``regenerate_net`` cannot read.
+
+    Records read from files are untrusted; this walks the whole record, so a
+    malformed one raises SchemeFormatError before any point set is built.
+    """
+    if not isinstance(record, dict):
+        raise SchemeFormatError(f"provenance net must be an object, got {record!r}")
+    kind = record.get("kind")
+    if kind == "generators":
+        if not isinstance(record.get("field"), dict):
+            raise SchemeFormatError("provenance generators record needs a 'field' object")
+        if not _int_lists(record.get("matrices"), 3):
+            raise SchemeFormatError(
+                "provenance generators record needs 'matrices' as lists of integer rows"
+            )
+    elif kind == "crt":
+        components = record.get("components")
+        if not isinstance(components, list) or not components:
+            raise SchemeFormatError("provenance crt record needs a nonempty 'components' list")
+        for component in components:
+            check_net_provenance(component)
+    elif kind == "permutation":
+        if not _int_lists(record.get("perm"), 1):
+            raise SchemeFormatError("provenance permutation record needs an integer 'perm' list")
+    else:
+        raise SchemeFormatError(f"cannot regenerate a net from provenance kind {kind!r}")
+
+
 def regenerate_net(provenance: dict) -> DigitalNet:
     """Rebuild a point set from its own provenance record."""
     kind = provenance.get("kind")

@@ -22,6 +22,7 @@ from .errors import BudgetExceededError, DeclusterError, ParameterError, SchemeF
 from .gf import prime_power_decompose
 from .nets import (
     DigitalNet,
+    check_net_provenance,
     crt_compose,
     net_from_generators,
     pascal_power_generators,
@@ -154,11 +155,32 @@ def generate_scheme(
     return Scheme(coloring=coloring, mode=mode, provenance=provenance, warnings=warnings)
 
 
+def _check_provenance(scheme: Scheme) -> None:
+    """Refuse a provenance record whose shape regeneration cannot read.
+
+    Scheme files are untrusted input, so the whole record (the net included)
+    is walked before anything is built: a malformed file raises
+    SchemeFormatError, not a KeyError or TypeError from deep inside.
+    (``scheme_from_dict`` has already checked that it is an object.)
+    """
+    prov = scheme.provenance
+    if prov.get("kind") == "net":
+        check_net_provenance(prov.get("net"))
+    elif scheme.mode == "cyclic" and prov.get("skews") is not None:
+        skews = prov["skews"]
+        if not isinstance(skews, list) or not all(isinstance(v, int) for v in skews):
+            raise SchemeFormatError(f"cyclic skews must be a list of integers, got {skews!r}")
+    elif scheme.mode == "random" and not isinstance(prov.get("seed", 0), int):
+        raise SchemeFormatError(f"random seed must be an integer, got {prov['seed']!r}")
+
+
 def regenerate_scheme(scheme: Scheme) -> Scheme:
     """Rebuild a scheme purely from its mode and provenance record.
 
     Used by the verifier: the rebuilt anchor map must match the stored one.
+    The record's shape is checked first (``_check_provenance``).
     """
+    _check_provenance(scheme)
     M, d = scheme.M, scheme.d
     prov = scheme.provenance
     if prov.get("kind") == "net":

@@ -1,5 +1,6 @@
 """Command-line interface, driven in-process through main(argv)."""
 
+import functools
 import itertools
 import json
 
@@ -108,6 +109,34 @@ def test_verify_non_latin_scheme_fails(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", "--scheme", str(out))
     assert code == 1
     assert stdout.startswith("FAIL")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("provenance", "net"), "generators"),
+        (("provenance", "net", "field"), None),  # None: delete the key
+        (("warnings",), 3),
+        (("provenance", "net", "matrices"), "[[1, 0], [0, 1]]"),
+    ],
+    ids=["net-is-a-string", "net-without-field", "warnings-is-an-int", "matrices-is-a-string"],
+)
+def test_verify_malformed_provenance_fails_cleanly(tmp_path, capsys, path, value):
+    out = tmp_path / "scheme.json"
+    run(capsys, "generate", "--disks", "4", "--dim", "3", "--mode", "smallbase",
+        "--out", str(out))
+    data = json.loads(out.read_text())
+    *parents, last = path
+    target = functools.reduce(dict.__getitem__, parents, data)
+    if value is None:
+        del target[last]
+    else:
+        target[last] = value
+    out.write_text(json.dumps(data))
+    code, stdout, stderr = run(capsys, "verify", "--scheme", str(out))
+    assert code == 1
+    assert "FAIL: " in stdout and "PASS" not in stdout
+    assert stderr == ""
 
 
 def test_verify_missing_file(tmp_path, capsys):

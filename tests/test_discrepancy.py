@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +203,24 @@ def test_periodic_counts_match_materialised_grid(mode, d, data):
         assert np.array_equal(counts, tally)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+def test_periodic_counts_in_blocks(monkeypatch, chunk):
+    # blocks of the trailing outer product shorter than one x_2 row, a few
+    # rows, and ragged last blocks; the materialised grid is the oracle
+    schemes = [
+        generate_scheme(5, 2, "cyclic"),
+        generate_scheme(4, 3, "smallbase"),
+        generate_scheme(3, 4, "random", seed=1),
+    ]
+    monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk)
+    for scheme in schemes:
+        d, M = scheme.d, scheme.M
+        for start, length in [(1, M), (3, 2 * M + 1), (10**6 + 1, M + 2)]:
+            lo = tuple(start + 2 * i for i in range(d))
+            box = Box(lo=lo, hi=tuple(a + length - 1 + i for i, a in enumerate(lo)))
+            assert np.array_equal(periodic_box_counts(scheme, box), _materialised_counts(scheme, box))
+
+
 def test_periodic_counts_exact_just_below_int64_reach():
     scheme = generate_scheme(3, 3, "random", seed=2)
     lengths = (2**20 + 1, 2**20 + 2, 2**21 - 5)  # |B| just under 2^62
@@ -352,6 +371,66 @@ def test_report_pinned_where_slabs_span_many_chunks():
         assert (box.lo, box.hi, color) == plus_key
         assert (abox.lo, abox.hi, acolor) == abs_key
         assert rep.per_color_plus == per_plus and rep.per_color_abs == per_abs
+
+
+def _report_fields(rep):
+    out = report_to_dict(rep)
+    del out["elapsed_ms"]
+    return out
+
+
+def _latin_vs_grid(scheme, N, positive_only):
+    """Report of the one-plane window path and of the M-plane grid path."""
+    latin = disc_report(scheme, N, positive_only=positive_only)
+    grid = disc_report(color_grid(scheme, N), N, M=scheme.M, positive_only=positive_only)
+    return _report_fields(latin), _report_fields(grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(MODES + ("skewed",)),
+    d=st.integers(min_value=1, max_value=4),
+    positive_only=st.booleans(),
+    data=st.data(),
+)
+def test_latin_window_path_matches_grid_path(mode, d, positive_only, data):
+    # A raw grid is always scanned as M planes with one window, so it is the
+    # oracle for the one-plane, M-window path a latin coloring takes at N >= M.
+    top = {1: 9, 2: 7, 3: 4, 4: 3}[d]
+    M = 2 if mode == "checkerboard" else data.draw(st.integers(1, top), label="M")
+    if mode == "skewed":  # tie-heavy: every color class a skewed diagonal family
+        units = [a for a in range(1, M + 1) if math.gcd(a, M) == 1]
+        skews = data.draw(st.lists(st.sampled_from(units), min_size=d - 1, max_size=d - 1))
+        scheme = make_baseline("cyclic", M, d, skews=skews)
+    else:
+        scheme = _scheme_or_none(M, d, mode)
+        assume(scheme is not None)
+    N = data.draw(st.integers(M, 2 * M + 1), label="N")
+    latin, grid = _latin_vs_grid(scheme, N, positive_only)
+    assert latin == grid
+
+
+def test_latin_window_ties_across_chunks(monkeypatch):
+    # 64-element chunks hold one or two slabs here, so windows that tie at
+    # the peak sit in many chunks and the lex-min must be kept across them.
+    cases = [
+        (make_baseline("cyclic", 8, 2), 17),
+        (make_baseline("cyclic", 5, 3, skews=(2, 3)), 7),
+        (generate_scheme(9, 2, "smallbase"), 10),
+    ]
+    wanted = [_latin_vs_grid(scheme, N, False)[1] for scheme, N in cases]
+    monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", 64)
+    for (scheme, N), want in zip(cases, wanted):
+        assert _report_fields(disc_report(scheme, N)) == want
+
+
+def test_latin_path_builds_no_color_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("color_grid called on the latin path")
+
+    monkeypatch.setattr(discrepancy, "color_grid", refuse)
+    rep = disc_report(make_baseline("cyclic", 8, 2), 8)
+    assert rep.disc_plus.num == 16
 
 
 # -- tiling algebra ---------------------------------------------------------------
@@ -609,6 +688,24 @@ def test_budget_guard_env_var(monkeypatch):
     monkeypatch.setenv("DECLUSTER_MAX_CELLS", "not a number")
     with pytest.raises(ParameterError):
         disc_report(make_baseline("cyclic", 4, 2), 4)
+
+
+def test_budget_counts_the_cells_the_latin_path_allocates():
+    # one plane on (N + M - 1) * N^(d-1) cells, not M planes on N^d
+    scheme = make_baseline("cyclic", 4, 2)
+    cells = (10 + 4 - 1) * 10
+    assert disc_report(scheme, 10, max_cells=cells).disc_plus.num > 0
+    with pytest.raises(BudgetExceededError, match=f"13 \\* 10\\^1 \\* 1 = {cells} cells"):
+        disc_report(scheme, 10, max_cells=cells - 1)
+
+
+def test_witness_flip_fits_the_scan_budget(monkeypatch):
+    # this certificate comes from the complement flip; its pieces are
+    # recounted from the scanned grid, so the scan's own budget is enough
+    scheme = make_baseline("random", 4, 2, seed=1)
+    want = find_positive_witness(scheme)
+    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "16")
+    assert find_positive_witness(scheme) == want
 
 
 def test_budget_guard_witness_and_geometric(monkeypatch):

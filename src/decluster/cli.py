@@ -7,6 +7,7 @@ can gate pipelines.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .coloring import export_map_csv, load_scheme, save_scheme
@@ -173,7 +174,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="decluster",
         description="Build and evaluate multi-disk allocation schemes for grid data.",

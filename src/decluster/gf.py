@@ -6,9 +6,10 @@ residue-class polynomial ``sum(c[j] * x**j)``.  Index 0 is the additive
 and index 1 the multiplicative identity in every field.  All arithmetic
 is integer-exact; floating point is never involved.
 
-For small orders (q <= 256) a field instance precomputes full addition,
-multiplication and inverse tables, but the tables are filled from the
-polynomial arithmetic itself, so both paths agree by construction.
+Scalar arithmetic runs on the polynomial routines for every field order,
+with no lookup tables.  ``PrimePowerField.matvec`` multiplies a matrix by
+many vectors at once, in extension fields through the Z_p-linear map that
+multiplication by a fixed element is (Lidl & Niederreiter, ch. 2).
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-
-_TABLE_LIMIT = 256
 
 # Witnesses making Miller-Rabin deterministic for every n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -176,11 +175,6 @@ class PrimePowerField:
         self.e = e
         self.q = p**e
         self.modulus = modulus
-        self.add_table: np.ndarray | None = None
-        self.mul_table: np.ndarray | None = None
-        self.inv_table: np.ndarray | None = None
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
 
     # -- representation ----------------------------------------------------
 
@@ -233,17 +227,13 @@ class PrimePowerField:
 
     def mul(self, a: int, b: int) -> int:
         a, b = self._check(a), self._check(b)
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
         return self._poly_mul(a, b)
 
     def inv(self, a: int) -> int:
-        a = self._check(a)
-        if a == 0:
+        """a^(q-2), the inverse of a nonzero a by Fermat's little theorem."""
+        if self._check(a) == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        if self.inv_table is not None:
-            return int(self.inv_table[a])
-        return self._poly_inv(a)
+        return self.pow(a, self.q - 2)
 
     def pow(self, a: int, n: int) -> int:
         """Square-and-multiply exponentiation; negative n inverts first."""
@@ -259,7 +249,46 @@ class PrimePowerField:
             n >>= 1
         return result
 
-    # -- polynomial ground truth (always available, used to build tables) ----
+    # -- vectorized arithmetic -----------------------------------------------
+
+    def matvec(self, mat, vecs) -> np.ndarray:
+        """Matrix times many vectors over the field.
+
+        ``mat`` has shape (r, m) and ``vecs`` shape (n, m), both of element
+        indices; returns the (n, r) array whose row k is mat @ vecs[k].
+        """
+        mat = np.asarray(mat, dtype=np.int64)
+        vecs = np.asarray(vecs, dtype=np.int64)
+        p, e = self.p, self.e
+        if e == 1:
+            return (vecs @ mat.T) % p
+        # Multiplying by a fixed entry c is Z_p-linear on coefficient vectors:
+        # row t of L_c is coeffs(c * x^t), so c*v for every element v is one
+        # (q, e) @ (e, e) product.  Products are summed with their coefficients
+        # spread to base B = m(p-1)+1, where a sum of m terms carries no digit;
+        # ``packed`` then maps each of the B^e <= q^m sums to its element,
+        # every base-B digit reduced mod p and read back in base p.
+        n, m = vecs.shape
+        base = m * (p - 1) + 1
+        coeffs = (np.arange(self.q)[:, None] // p ** np.arange(e)) % p
+        spread = base ** np.arange(e, dtype=np.int64)
+        packed = np.zeros(1, dtype=np.int64)
+        for t in range(e):
+            packed = ((np.arange(base) % p * p**t)[:, None] + packed).ravel()
+        products = {}
+        out = np.empty((n, len(mat)), dtype=np.int64)
+        for r, row in enumerate(mat.tolist()):
+            acc = np.zeros(n, dtype=np.int64)
+            for c, entry in enumerate(row):
+                if entry:
+                    if entry not in products:
+                        lin = [self.coeffs(self.mul(entry, p**t)) for t in range(e)]
+                        products[entry] = (coeffs @ np.array(lin) % p) @ spread
+                    acc += products[entry][vecs[:, c]]
+            out[:, r] = packed[acc]
+        return out
+
+    # -- polynomial ground truth: the only scalar path ------------------------
 
     def _poly_add(self, a: int, b: int) -> int:
         ca = _encoding_to_coeffs(a, self.p, self.e)
@@ -276,52 +305,6 @@ class PrimePowerField:
         rem = _poly_mulmod(ca, cb, self.modulus, self.p)
         rem = rem + (0,) * (self.e - len(rem))
         return _coeffs_to_encoding(rem, self.p)
-
-    def _poly_inv(self, a: int) -> int:
-        """Inverse by the extended Euclidean algorithm on polynomials."""
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        p = self.p
-        r0, r1 = self.modulus, _encoding_to_coeffs(a, p, self.e)
-        t0, t1 = (0,), (1,)
-        while any(r1):
-            while r1 and r1[-1] == 0:
-                r1 = r1[:-1]
-            quot, rem = _poly_divmod(r0, r1, p)
-            # t0 - quot * t1, all reduced mod the modulus
-            prod = [0] * (len(quot) + len(t1) - 1)
-            for i, qi in enumerate(quot):
-                for j, tj in enumerate(t1):
-                    prod[i + j] = (prod[i + j] + qi * tj) % p
-            new_t = [0] * max(len(t0), len(prod))
-            for i in range(len(new_t)):
-                x = t0[i] if i < len(t0) else 0
-                y = prod[i] if i < len(prod) else 0
-                new_t[i] = (x - y) % p
-            r0, r1, t0, t1 = r1, rem, t1, tuple(new_t)
-        # r0 is now gcd = nonzero constant; normalize t0 by its inverse.
-        const_inv = pow(r0[0], p - 2, p)
-        t0 = tuple(c * const_inv % p for c in t0)
-        _, rem = _poly_divmod(t0 + (0,) * (self.e + 1 - len(t0)), self.modulus, p)
-        rem = rem + (0,) * (self.e - len(rem))
-        return _coeffs_to_encoding(rem, self.p)
-
-    def _build_tables(self):
-        q = self.q
-        add = np.empty((q, q), dtype=np.int16)
-        mul = np.empty((q, q), dtype=np.int16)
-        for a in range(q):
-            for b in range(a, q):
-                s = self._poly_add(a, b)
-                m = self._poly_mul(a, b)
-                add[a, b] = add[b, a] = s
-                mul[a, b] = mul[b, a] = m
-        inv = np.zeros(q, dtype=np.int16)
-        for a in range(1, q):
-            inv[a] = self._poly_inv(a)
-        self.add_table = add
-        self.mul_table = mul
-        self.inv_table = inv
 
     def as_dict(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}

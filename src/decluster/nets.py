@@ -305,7 +305,7 @@ def net_from_generators(gens: GeneratorSet) -> DigitalNet:
     idx_digits = (ks[:, None] // q ** np.arange(m, dtype=np.int64)) % q
     digits = np.zeros((n, d, m), dtype=np.int64)
     for j, mat in enumerate(gens.matrices):
-        digits[:, j, :] = _matvec_field(fld, np.asarray(mat, dtype=np.int64), idx_digits)
+        digits[:, j, :] = fld.matvec(mat, idx_digits)
     provenance = {
         "kind": "generators",
         "field": fld.as_dict(),
@@ -323,35 +323,6 @@ def net_from_generators(gens: GeneratorSet) -> DigitalNet:
             expected=check.expected_points,
         )
     return net
-
-
-def _matvec_field(fld: PrimePowerField, mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Row-by-row matrix product over the field, vectorized across many vectors.
-
-    ``vecs`` has shape (n, m) of element indices; returns (n, m) where row k
-    is mat @ vecs[k].
-    """
-    if fld.e == 1:
-        return (vecs @ mat.T) % fld.p
-    n, m = vecs.shape
-    out = np.zeros((n, m), dtype=np.int64)
-    mul, add = fld.mul_table, fld.add_table
-    if mul is None:  # enormous field: fall back to scalar arithmetic
-        for k in range(n):
-            for r in range(m):
-                acc = 0
-                for c in range(m):
-                    acc = fld.add(acc, fld.mul(int(mat[r, c]), int(vecs[k, c])))
-                out[k, r] = acc
-        return out
-    for r in range(m):
-        acc = np.zeros(n, dtype=np.int64)
-        for c in range(m):
-            coef = int(mat[r, c])
-            if coef:
-                acc = add[acc, mul[coef, vecs[:, c]]]
-        out[:, r] = acc
-    return out
 
 
 def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
@@ -490,31 +461,55 @@ def _int_lists(value, depth: int) -> bool:
     return isinstance(value, list) and all(_int_lists(v, depth - 1) for v in value)
 
 
-def check_net_provenance(record) -> None:
-    """Refuse a provenance record whose shape ``regenerate_net`` cannot read.
+def check_net_provenance(record, b: int, m: int, d: int) -> None:
+    """Refuse a provenance record that is not a base-b, m-digit, d-dim net.
 
-    Records read from files are untrusted; this walks the whole record, so a
-    malformed one raises SchemeFormatError before any point set is built.
+    Records read from files are untrusted; this walks the whole record and
+    holds every size in it to (b, m, d), so a malformed or oversized one
+    raises SchemeFormatError before any field or point set is built.
     """
     if not isinstance(record, dict):
         raise SchemeFormatError(f"provenance net must be an object, got {record!r}")
     kind = record.get("kind")
     if kind == "generators":
-        if not isinstance(record.get("field"), dict):
+        fld = record.get("field")
+        if not isinstance(fld, dict):
             raise SchemeFormatError("provenance generators record needs a 'field' object")
-        if not _int_lists(record.get("matrices"), 3):
+        p, e = fld.get("p"), fld.get("e")
+        if not (isinstance(p, int) and isinstance(e, int) and 1 <= e <= b.bit_length()
+                and p**e == b):
+            raise SchemeFormatError(f"provenance field p={p!r}, e={e!r} does not have {b} elements")
+        mats = record.get("matrices")
+        if not _int_lists(mats, 3):
             raise SchemeFormatError(
                 "provenance generators record needs 'matrices' as lists of integer rows"
             )
+        if len(mats) != d or any(len(mat) != m or any(len(row) != m for row in mat)
+                                 for mat in mats):
+            raise SchemeFormatError(f"provenance generators record needs {d} matrices of {m}x{m}")
+        if not all(0 <= v < b for mat in mats for row in mat for v in row):
+            raise SchemeFormatError(f"provenance generator entries must lie in [0, {b})")
     elif kind == "crt":
         components = record.get("components")
         if not isinstance(components, list) or not components:
             raise SchemeFormatError("provenance crt record needs a nonempty 'components' list")
-        for component in components:
-            check_net_provenance(component)
+        bases = [c.get("b") if isinstance(c, dict) else None for c in components]
+        # every base is >= 2, so more than log2(b) of them cannot multiply to b
+        if (len(bases) > b.bit_length()
+                or not all(isinstance(cb, int) and cb >= 2 for cb in bases)
+                or math.prod(bases) != b):
+            raise SchemeFormatError(f"provenance crt bases {bases!r} do not multiply to {b}")
+        for component, cb in zip(components, bases):
+            check_net_provenance(component, cb, m, d)
     elif kind == "permutation":
-        if not _int_lists(record.get("perm"), 1):
+        perm = record.get("perm")
+        if not _int_lists(perm, 1):
             raise SchemeFormatError("provenance permutation record needs an integer 'perm' list")
+        if len(perm) != b or (m, d) != (1, 2):
+            raise SchemeFormatError(
+                f"provenance permutation of {len(perm)} entries is not a base-{b}, "
+                f"m={m}, d={d} net"
+            )
     else:
         raise SchemeFormatError(f"cannot regenerate a net from provenance kind {kind!r}")
 

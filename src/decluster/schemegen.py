@@ -160,12 +160,21 @@ def _check_provenance(scheme: Scheme) -> None:
 
     Scheme files are untrusted input, so the whole record (the net included)
     is walked before anything is built: a malformed file raises
-    SchemeFormatError, not a KeyError or TypeError from deep inside.
+    SchemeFormatError, not a KeyError or TypeError from deep inside, and
+    every size in it is held to the M^(d-1) points the anchor map has, so
+    the file bounds the work of rebuilding it.
     (``scheme_from_dict`` has already checked that it is an object.)
     """
     prov = scheme.provenance
     if prov.get("kind") == "net":
-        check_net_provenance(prov.get("net"))
+        base, m = prov.get("base"), prov.get("m")
+        points = scheme.M ** (scheme.d - 1)
+        if not (isinstance(base, int) and isinstance(m, int) and 2 <= base <= points
+                and 0 <= m <= points.bit_length() and base**m == points):
+            raise SchemeFormatError(
+                f"provenance base={base!r}, m={m!r} do not give base^m = M^(d-1) = {points}"
+            )
+        check_net_provenance(prov.get("net"), base, m, scheme.d)
     elif scheme.mode == "cyclic" and prov.get("skews") is not None:
         skews = prov["skews"]
         if not isinstance(skews, list) or not all(isinstance(v, int) for v in skews):

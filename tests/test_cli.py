@@ -1,12 +1,15 @@
 """Command-line interface, driven in-process through main(argv)."""
 
+import argparse
 import functools
 import itertools
 import json
 
 import pytest
 
-from decluster.cli import _parse_box, _parse_int_list, main
+import decluster.gf
+import decluster.nets
+from decluster.cli import _parse_box, _parse_int_list, build_parser, main
 from decluster.discrepancy import Box
 from decluster.errors import DeclusterError
 
@@ -34,6 +37,21 @@ def test_parse_int_list():
     for bad in ("a", "3..x", "4,,8", "6..3"):
         with pytest.raises(DeclusterError):
             _parse_int_list(bad)
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    argv = ("net", "--base", "3", "--m", "2", "--dim", "2")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1] is build_parser()
 
 
 # -- generate / verify --------------------------------------------------------------
@@ -133,6 +151,75 @@ def test_verify_malformed_provenance_fails_cleanly(tmp_path, capsys, path, value
     else:
         target[last] = value
     out.write_text(json.dumps(data))
+    code, stdout, stderr = run(capsys, "verify", "--scheme", str(out))
+    assert code == 1
+    assert "FAIL: " in stdout and "PASS" not in stdout
+    assert stderr == ""
+
+
+def _refuse_builds(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a field or net from an oversized provenance record")
+
+    monkeypatch.setattr(decluster.nets, "net_from_generators", refuse)
+    monkeypatch.setattr(decluster.nets, "PrimePowerField", refuse)
+    monkeypatch.setattr(decluster.gf, "PrimePowerField", refuse)
+
+
+def _sixteen_digit_matrices(net):
+    net["matrices"] = [[[int(r == c) for c in range(16)] for r in range(16)]] * 2
+
+
+def _degree_13_field(net):
+    net["field"] = {"p": 2, "e": 13, "modulus": [1, 1, 0, 1, 1] + [0] * 8 + [1]}
+
+
+@pytest.mark.parametrize(
+    "tamper", [_sixteen_digit_matrices, _degree_13_field], ids=["16x16-matrices", "degree-13-field"]
+)
+def test_verify_refuses_oversized_provenance_before_building(
+    tmp_path, capsys, monkeypatch, tamper
+):
+    out = tmp_path / "scheme.json"
+    run(capsys, "generate", "--disks", "4", "--dim", "2", "--mode", "smallbase",
+        "--out", str(out))
+    data = json.loads(out.read_text())
+    assert data["provenance"]["net"]["kind"] == "generators"
+    tamper(data["provenance"]["net"])
+    out.write_text(json.dumps(data))
+    _refuse_builds(monkeypatch)
+    code, stdout, stderr = run(capsys, "verify", "--scheme", str(out))
+    assert code == 1
+    assert "FAIL: " in stdout and "PASS" not in stdout
+    assert stderr == ""
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("provenance", "m"), 3),
+        (("provenance", "base"), 4),
+        (("provenance", "net", "components", 0, "b"), 3),
+        (("provenance", "net", "components", 1, "field", "e"), 2),
+        (("provenance", "net", "components", 0, "matrices", 0, 0, 0), 2),
+        (("provenance", "net", "components", 0, "matrices"), [[[1, 0], [0, 1]]] * 2),
+        (("provenance", "net", "components", 1), {
+            "b": 9, "kind": "generators", "field": {"p": 3, "e": 2, "modulus": [1, 0, 1]},
+            "matrices": [[[1, 0], [0, 1]]] * 3,
+        }),
+    ],
+    ids=["m", "base", "crt-b", "field-order", "entry-out-of-field", "two-matrices-in-d3",
+         "crt-bases-multiply-to-18"],
+)
+def test_verify_refuses_provenance_sizes_that_disagree(tmp_path, capsys, monkeypatch, path, value):
+    out = tmp_path / "scheme.json"
+    run(capsys, "generate", "--disks", "6", "--dim", "3", "--mode", "paper",
+        "--out", str(out))
+    data = json.loads(out.read_text())
+    *parents, last = path
+    functools.reduce(lambda node, key: node[key], parents, data)[last] = value
+    out.write_text(json.dumps(data))
+    _refuse_builds(monkeypatch)
     code, stdout, stderr = run(capsys, "verify", "--scheme", str(out))
     assert code == 1
     assert "FAIL: " in stdout and "PASS" not in stdout

@@ -1,4 +1,4 @@
-"""Field arithmetic: worked values, algebraic laws, and the table/poly split."""
+"""Field arithmetic: worked values, algebraic laws, and the vectorized product."""
 
 import itertools
 import random
@@ -181,17 +181,45 @@ def test_pow_negative_exponent():
         assert f.pow(a, -2) == f.inv(f.mul(a, a))
 
 
-def test_tables_match_polynomial_arithmetic():
-    # table-driven results must agree with the raw polynomial routines
-    for q in (4, 8, 9, 27, 16):
+def test_field_product_matches_polynomial_arithmetic():
+    # matvec rows and the scalar methods agree with the raw polynomial routines
+    for q in (4, 8, 9, 16, 27, 256, 343, 512):
         f = field_for_order(q)
-        assert f.mul_table is not None
-        for a in range(q):
+        elements = np.arange(q)[:, None]
+        rng = random.Random(q)
+        rows = range(q) if q <= 27 else [0, 1, q - 1, *rng.sample(range(2, q - 1), 24)]
+        for a in rows:
+            products = f.matvec([[a]], elements)[:, 0]
+            sums = f.matvec([[1, 1]], np.hstack([np.full_like(elements, a), elements]))[:, 0]
             for b in range(q):
-                assert int(f.mul_table[a, b]) == f._poly_mul(a, b)
-                assert int(f.add_table[a, b]) == f._poly_add(a, b)
-            if a:
-                assert int(f.inv_table[a]) == f._poly_inv(a)
+                assert products[b] == f.mul(a, b) == f._poly_mul(a, b)
+                assert sums[b] == f.add(a, b) == f._poly_add(a, b)
+        for a in range(1, q):
+            a_inv = f.inv(a)
+            assert f.mul(a, a_inv) == 1
+            assert f.matvec([[a_inv]], [[a]])[0, 0] == 1
+
+
+@pytest.mark.parametrize(
+    "q", [q for q in range(2, 1025) if prime_power_decompose(q) is not None]
+)
+def test_matvec_matches_scalar_triple_loop(q):
+    f = field_for_order(q)
+    rng = np.random.default_rng(q)
+    for m in range(5):
+        mat = rng.integers(0, q, size=(m, m))
+        mat[rng.random((m, m)) < 0.3] = 0
+        mat[: m // 2, :1] = 0  # some rows always hold a zero
+        vecs = rng.integers(0, q, size=(16, m))
+        vecs[0] = 0
+        got = f.matvec(mat, vecs)
+        assert got.shape == (16, m)
+        for k in range(16):
+            for r in range(m):
+                acc = 0
+                for c in range(m):
+                    acc = f.add(acc, f.mul(int(mat[r, c]), int(vecs[k, c])))
+                assert got[k, r] == acc, (m, k, r)
 
 
 def test_field_for_order_rejects_non_prime_power():

@@ -1,5 +1,6 @@
 """End-to-end scheme generation, regeneration, and the comparison sweep."""
 
+import hashlib
 import io
 
 import pytest
@@ -136,6 +137,21 @@ def test_regenerate_matches_for_every_mode():
     for scheme in cases:
         again = regenerate_scheme(scheme)
         assert again.coloring.anchor == scheme.coloring.anchor
+
+
+@pytest.mark.parametrize(
+    "M, digest",
+    [
+        (343, "0d341da3b07b28ce84d1845f082eb3f2135d2bc26b39d8b7e611bf82c91ac141"),
+        (512, "d8fce34e1a233cc10fbcc167c74c327af333aa4862519ad85ddef9867ed3d37d"),
+    ],
+    ids=["343", "512"],
+)
+def test_paper_extension_fields_above_256_are_pinned(M, digest):
+    # base-M nets over GF(7^3) and GF(2^9), extension fields above 256 elements
+    scheme = generate_scheme(M, 3, "paper")
+    assert hashlib.sha256(scheme_to_json_bytes(scheme)).hexdigest() == digest
+    assert regenerate_scheme(scheme).coloring.anchor == scheme.coloring.anchor
 
 
 def test_roundtrip_is_byte_identical(tmp_path):

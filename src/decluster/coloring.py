@@ -10,6 +10,11 @@ representation that reduces to a property of the anchor map alone.
 
 Blocks of a larger grid [N]^d are colored by reducing each coordinate
 mod M into [M]^d, i.e. the base pattern tiles the whole grid.
+
+The anchor map is held as one read-only int64 array, checked once when the
+coloring is made; constructors build it with whole-array numpy operations
+and the scheme writer prints it with one join, so no step of making,
+checking or saving a coloring loops in Python over its M^(d-1) entries.
 """
 
 from __future__ import annotations
@@ -38,25 +43,49 @@ class LatinColoring:
     ``anchor`` is a flat tuple of length M^(d-1), row-major in
     (x_2, ..., x_d): the entry for u is at index
     sum((u_i - 1) * M**(d - 1 - i)).  All coordinates and colors are
-    1-indexed.
+    1-indexed.  It may be passed as any flat sequence or array of integers;
+    it is converted once to a read-only int64 array (see ``anchor_tensor``),
+    checked there, and kept as a tuple of Python ints.
     """
 
     M: int
     d: int
     anchor: tuple[int, ...]
+    _flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 1:
             raise ParameterError(f"M={self.M} must be >= 1")
         if self.d < 1:
             raise ParameterError(f"d={self.d} must be >= 1")
-        if len(self.anchor) != self.M ** (self.d - 1):
+        raw = self.anchor
+        # numpy reads True as 1 inside a list of ints, so refuse bools first
+        if isinstance(raw, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, raw)):
+            raise ParameterError("anchor entries must be integers, got a boolean")
+        try:
+            raw = np.asarray(raw)
+        except (TypeError, ValueError) as exc:  # ragged nesting
+            raise ParameterError(f"anchor must be a flat list of integers: {exc}") from None
+        if raw.ndim != 1:
+            raise ParameterError(f"anchor must be a flat list of integers, got {raw.ndim} axes")
+        if not self._size_is(len(raw)):
             raise ParameterError(
-                f"anchor has {len(self.anchor)} entries, expected M^(d-1) = "
-                f"{self.M ** (self.d - 1)}"
+                f"anchor has {len(raw)} entries, expected M^(d-1) with M={self.M}, d={self.d}"
             )
-        if any(not 1 <= a <= self.M for a in self.anchor):
+        if raw.dtype.kind not in "iu":
+            raise ParameterError(f"anchor entries must be integers, got {raw.dtype} values")
+        if int(raw.min()) < 1 or int(raw.max()) > min(self.M, np.iinfo(np.int64).max):
             raise ParameterError(f"anchor values must lie in [1, {self.M}]")
+        flat = raw.astype(np.int64)
+        flat.flags.writeable = False
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "anchor", tuple(flat.tolist()))
+
+    def _size_is(self, n: int) -> bool:
+        """Whether n == M^(d-1), without forming a huge power for a huge d."""
+        if self.M == 1:
+            return n == 1
+        return self.d - 1 <= n.bit_length() and n == self.M ** (self.d - 1)
 
     def anchor_at(self, u: Sequence[int]) -> int:
         if len(u) != self.d - 1:
@@ -76,14 +105,12 @@ class LatinColoring:
 
     @functools.cached_property
     def _anchor_array(self) -> np.ndarray:
-        arr = np.asarray(self.anchor, dtype=np.int64).reshape((self.M,) * (self.d - 1))
-        arr.flags.writeable = False
-        return arr
+        return self._flat.reshape((self.M,) * (self.d - 1))
 
     def anchor_tensor(self) -> np.ndarray:
         """Anchor map as a read-only int64 array of shape (M,) * (d-1).
 
-        Built from ``anchor`` on first use and shared by later calls.
+        A view of the array checked at construction, shared by every call.
         """
         return self._anchor_array
 
@@ -204,25 +231,22 @@ def coloring_from_net(net: DigitalNet, M: int) -> LatinColoring:
     if d == 1:
         return LatinColoring(M=M, d=1, anchor=(1,))
     cells = net.coord_ints(k)  # (n, d), values in [0, M)
-    n = net.n_points
-    ranks = np.zeros(n, dtype=np.int64)
+    ranks = np.zeros(net.n_points, dtype=np.int64)
     for i in range(1, d):
         ranks = ranks * M + cells[:, i]
-    anchor = np.zeros(M ** (d - 1), dtype=np.int64)
-    occupied = np.zeros(M ** (d - 1), dtype=bool)
-    if np.unique(ranks).size != n:
-        counts = np.bincount(ranks, minlength=M ** (d - 1))
+    counts = np.bincount(ranks, minlength=M ** (d - 1))
+    if counts.max() > 1:
         dup = int(np.argmax(counts > 1))
         raise InvalidNetError(
             f"two points share the axis-1 line at rank {dup}; "
             "the input point set is not balanced"
         )
-    anchor[ranks] = cells[:, 0] + 1
-    occupied[ranks] = True
-    if not occupied.all():
-        missing = int(np.argmax(~occupied))
+    if counts.min() == 0:
+        missing = int(np.argmax(counts == 0))
         raise InvalidNetError(f"no point on the axis-1 line at rank {missing}")
-    coloring = LatinColoring(M=M, d=d, anchor=tuple(int(v) for v in anchor))
+    anchor = np.empty(M ** (d - 1), dtype=np.int64)
+    anchor[ranks] = cells[:, 0] + 1
+    coloring = LatinColoring(M=M, d=d, anchor=anchor)
     check = verify_latin(coloring)
     if not check.ok:
         raise InvalidNetError(
@@ -230,6 +254,19 @@ def coloring_from_net(net: DigitalNet, M: int) -> LatinColoring:
             "the input point set is not balanced"
         )
     return coloring
+
+
+def _linear_anchor(M: int, weights: Sequence[int], offset: int) -> np.ndarray:
+    """Flat anchor map (sum(w_i * u_i) + offset) mod M + 1 over u in [1, M]^(d-1).
+
+    Row-major in u, so the last weight goes with the fastest axis.  Weights
+    are reduced mod M first, which keeps every product below M^2.
+    """
+    total = np.array([offset % M], dtype=np.int64)
+    u = np.arange(1, M + 1, dtype=np.int64)
+    for w in weights:
+        total = ((total[:, None] + (int(w) % M) * u) % M).reshape(-1)
+    return total + 1
 
 
 def make_baseline(
@@ -256,29 +293,13 @@ def make_baseline(
     if kind == "checkerboard":
         if M != 2:
             raise ParameterError(f"checkerboard requires M=2, got M={M}")
-        anchor = []
-        for rank in range(M ** (d - 1)):
-            u_sum = 0
-            rem = rank
-            for _ in range(d - 1):
-                u_sum += rem % M + 1
-                rem //= M
-            anchor.append((u_sum + 1) % 2 + 1)
-        coloring = LatinColoring(M=M, d=d, anchor=tuple(anchor))
+        coloring = LatinColoring(M=M, d=d, anchor=_linear_anchor(M, (1,) * (d - 1), 1))
         return Scheme(coloring=coloring, mode="checkerboard", provenance={})
     if kind == "cyclic":
         skews = tuple(int(s) for s in (skews if skews is not None else (1,) * (d - 1)))
         if len(skews) != d - 1:
             raise ParameterError(f"need {d - 1} skews, got {len(skews)}")
-        anchor = []
-        for rank in range(M ** (d - 1)):
-            total = 0
-            rem = rank
-            for i in range(d - 2, -1, -1):  # rank is row-major: last axis varies fastest
-                total += skews[i] * (rem % M + 1)
-                rem //= M
-            anchor.append(total % M + 1)
-        coloring = LatinColoring(M=M, d=d, anchor=tuple(anchor))
+        coloring = LatinColoring(M=M, d=d, anchor=_linear_anchor(M, skews, 0))
         check = verify_latin(coloring)
         if not check.ok:
             raise ParameterError(
@@ -302,9 +323,7 @@ def make_baseline(
             # relabel coordinate values of grid axis (axis + 2)
             tensor = np.take(tensor, inv_perms[axis + 1], axis=axis)
         relabeled = perms[0][tensor - 1] + 1  # axis-1 relabeling acts on anchor values
-        coloring = LatinColoring(
-            M=M, d=d, anchor=tuple(int(v) for v in relabeled.reshape(-1))
-        )
+        coloring = LatinColoring(M=M, d=d, anchor=relabeled.reshape(-1))
         return Scheme(
             coloring=coloring,
             mode="random",
@@ -364,12 +383,14 @@ def scheme_from_dict(data: dict) -> Scheme:
             f"expected {SCHEME_FORMAT_VERSION}"
         )
     try:
-        M = int(data["M"])
-        d = int(data["d"])
-        mode = str(data["mode"])
-        anchor = tuple(int(v) for v in data["anchor"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemeFormatError(f"malformed scheme document: {exc}") from exc
+        M, d, mode, anchor = data["M"], data["d"], data["mode"], data["anchor"]
+    except KeyError as exc:
+        raise SchemeFormatError(f"malformed scheme document: missing {exc}") from exc
+    for name, value in (("M", M), ("d", d)):
+        if type(value) is not int:
+            raise SchemeFormatError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(mode, str):
+        raise SchemeFormatError(f"mode must be a string, got {mode!r}")
     try:
         coloring = LatinColoring(M=M, d=d, anchor=anchor)
     except ParameterError as exc:
@@ -390,8 +411,20 @@ def scheme_from_dict(data: dict) -> Scheme:
 
 
 def scheme_to_json_bytes(scheme: Scheme) -> bytes:
-    """Canonical byte encoding: sorted keys, two-space indent, no timestamps."""
-    return (json.dumps(scheme_to_dict(scheme), indent=2, sort_keys=True) + "\n").encode()
+    """Canonical byte encoding: sorted keys, two-space indent, no timestamps.
+
+    The bytes are ``json.dumps(scheme_to_dict(scheme), indent=2,
+    sort_keys=True) + "\n"``.  json's indenting encoder is pure Python, so
+    the anchor list, the bulk of the document, is printed by one join and
+    put in place of an empty list: "anchor" sorts right after "M", whose
+    value is a number, so the first '"anchor": []' in the text is its key.
+    """
+    doc = {**scheme_to_dict(scheme), "anchor": []}
+    items = ",\n    ".join(map(str, scheme.coloring.anchor))
+    text = json.dumps(doc, indent=2, sort_keys=True).replace(
+        '"anchor": []', f'"anchor": [\n    {items}\n  ]', 1
+    )
+    return (text + "\n").encode()
 
 
 def save_scheme(scheme: Scheme, path) -> None:
@@ -403,7 +436,7 @@ def load_scheme(path) -> Scheme:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer of too many digits
             raise SchemeFormatError(f"not valid JSON: {exc}") from exc
     return scheme_from_dict(data)
 

@@ -9,8 +9,11 @@ arithmetic -- no floats anywhere.
 Construction is by generator matrices over GF(q): coordinate j of point k
 is C_j times the base-q digit vector of k.  Composite bases are assembled
 digit-by-digit from coprime prime-power components via the Chinese
-remainder theorem.  Every constructor re-checks the balance property
-before returning and refuses to hand out a defective point set.
+remainder theorem.  Every constructor checks the balance property before
+returning and refuses to hand out a defective point set: generator nets by
+the rank of their matrices (``rank_gate``), residue compositions by counting
+points in every elementary interval (``verify_net``).  A permutation net is
+balanced whenever ``permutation_net`` accepts its permutation.
 """
 
 from __future__ import annotations
@@ -290,12 +293,97 @@ def pascal_power_generators(q: int, d: int, m: int) -> GeneratorSet:
     return GeneratorSet(field=fld, m=m, d=d, matrices=tuple(matrices))
 
 
+# Bytes of one stack of matrices that ``rank_gate`` eliminates at a time.
+_GATE_CHUNK_BYTES = 1 << 24
+
+
+def _expanded_matrices(gens: GeneratorSet) -> np.ndarray:
+    """The d generator matrices written over Z_p, shape (d, m*e, m*e).
+
+    Over GF(p^e) each entry c becomes the e-by-e matrix L_c of multiplication
+    by c on coefficient vectors (row t holds the coefficients of c * x^t, as
+    in ``PrimePowerField.matvec``).  c -> L_c is an injective ring
+    homomorphism into commuting matrices, so the expansion of a square
+    matrix has the norm of its determinant as determinant: one is invertible
+    over Z_p exactly when the other is invertible over GF(p^e).
+    """
+    fld = gens.field
+    p, e, m, d = fld.p, fld.e, gens.m, gens.d
+    mats = np.asarray(gens.matrices, dtype=np.int64).reshape(d, m, m)
+    if e == 1:
+        return mats
+    entries, where = np.unique(mats, return_inverse=True)
+    # products[t, i] = entries[i] * x^t, then split into its e coefficients
+    products = fld.matvec(entries[:, None], (p ** np.arange(e, dtype=np.int64))[:, None])
+    lin = products.T[:, :, None] // p ** np.arange(e, dtype=np.int64) % p  # (entries, t, coeff)
+    blocks = lin[where.reshape(d, m, m)]  # (d, row, col, t, coeff)
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(d, m * e, m * e)
+
+
+def _all_invertible_mod_p(stack: np.ndarray, p: int) -> bool:
+    """Whether every matrix of ``stack`` (k, n, n), entries in [0, p), is invertible mod p.
+
+    Batched fraction-free Gaussian elimination: each step swaps a nonzero
+    pivot up and replaces every lower row r by pivot * r - r[c] * pivot row,
+    which keeps the rank and needs no inverses.  Products stay below p^2.
+    """
+    k, n, _ = stack.shape
+    every = np.arange(k)
+    for c in range(n):
+        nonzero = stack[:, c:, c] != 0
+        if not nonzero.any(axis=1).all():
+            return False
+        pivot = c + nonzero.argmax(axis=1)
+        top = stack[every, pivot, c:]
+        stack[every, pivot, c:] = stack[:, c, c:]
+        stack[:, c, c:] = top
+        below = stack[:, c + 1 :, c:]
+        stack[:, c + 1 :, c:] = (
+            below * top[:, None, :1] - below[:, :, :1] * top[:, None, :]
+        ) % p
+    return True
+
+
+def rank_gate(gens: GeneratorSet) -> bool:
+    """Whether the generator matrices give a point set balanced at t=0.
+
+    By the rank criterion (Niederreiter 1992, ch. 4; Dick & Pillichshammer
+    2010, ch. 4): the net is balanced iff for every (l_1, ..., l_d) with sum
+    m, the first l_j rows of each C_j together are linearly independent over
+    GF(q).  The C(m+d-1, d-1) square matrices this names are stacked,
+    written over Z_p (``_expanded_matrices``) and eliminated together, a
+    bounded number of bytes at a time.  Agrees with ``verify_net(net, 0).ok``
+    on the net ``net_from_generators`` builds, without counting its points.
+    """
+    fld = gens.field
+    p, e, m, d = fld.p, fld.e, gens.m, gens.d
+    if m == 0:
+        return True
+    n = m * e
+    rows = _expanded_matrices(gens).reshape(d * n, n)
+    levels = np.array(list(_compositions(m, d)), dtype=np.int64)  # (k, d)
+    # Row s < m of the matrix for one composition is row s - start_j of the
+    # C_j whose block [start_j, end_j) holds s; over Z_p it is e rows.
+    ends = np.cumsum(levels, axis=1)
+    s = np.arange(m)
+    owner = (s[None, :, None] >= ends[:, None, :]).sum(axis=2)  # (k, m)
+    local = s - np.take_along_axis(ends - levels, owner, axis=1)
+    pick = ((owner * n + local * e)[:, :, None] + np.arange(e)).reshape(len(levels), n)
+    chunk = max(1, _GATE_CHUNK_BYTES // (8 * n * n))
+    return all(
+        _all_invertible_mod_p(rows[pick[lo : lo + chunk]], p)
+        for lo in range(0, len(pick), chunk)
+    )
+
+
 def net_from_generators(gens: GeneratorSet) -> DigitalNet:
     """Digital point set from generator matrices, balance-checked at t=0.
 
     Point k's index digits (least significant first) are multiplied by each
     coordinate's matrix over GF(q); the resulting digit vector is the
-    coordinate, most significant digit first.
+    coordinate, most significant digit first.  The balance check is
+    ``rank_gate``; a refused set raises NetConstructionError carrying the
+    first unbalanced interval of ``verify_net``.
     """
     fld = gens.field
     q, m, d = fld.q, gens.m, gens.d
@@ -312,17 +400,23 @@ def net_from_generators(gens: GeneratorSet) -> DigitalNet:
         "matrices": [[list(row) for row in mat] for mat in gens.matrices],
     }
     net = DigitalNet(params=NetParams(b=q, m=m, d=d, t=0), digits=digits, provenance=provenance)
+    if rank_gate(gens):
+        return net
+    # Refused: count the points already built to name the first bad interval.
     check = verify_net(net, 0)
-    if not check.ok:
+    if check.ok:
         raise NetConstructionError(
-            f"generator matrices over GF({q}) produced an unbalanced point set: "
-            f"interval levels={check.violation.levels} offsets={check.violation.offsets} "
-            f"holds {check.found_points} points, expected {check.expected_points}",
-            interval=check.violation,
-            found=check.found_points,
-            expected=check.expected_points,
+            f"generator matrices over GF({q}) fail the rank gate, yet every elementary "
+            "interval holds its points; refusing the point set"
         )
-    return net
+    raise NetConstructionError(
+        f"generator matrices over GF({q}) produced an unbalanced point set: "
+        f"interval levels={check.violation.levels} offsets={check.violation.offsets} "
+        f"holds {check.found_points} points, expected {check.expected_points}",
+        interval=check.violation,
+        found=check.found_points,
+        expected=check.expected_points,
+    )
 
 
 def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
@@ -455,9 +549,12 @@ def load_net(path) -> DigitalNet:
 
 
 def _int_lists(value, depth: int) -> bool:
-    """Whether ``value`` is a list nested ``depth`` deep with integer leaves."""
+    """Whether ``value`` is a list nested ``depth`` deep with integer leaves.
+
+    Booleans are not integers here, though Python counts them as ints.
+    """
     if depth == 0:
-        return isinstance(value, int)
+        return type(value) is int
     return isinstance(value, list) and all(_int_lists(v, depth - 1) for v in value)
 
 
@@ -476,9 +573,14 @@ def check_net_provenance(record, b: int, m: int, d: int) -> None:
         if not isinstance(fld, dict):
             raise SchemeFormatError("provenance generators record needs a 'field' object")
         p, e = fld.get("p"), fld.get("e")
-        if not (isinstance(p, int) and isinstance(e, int) and 1 <= e <= b.bit_length()
+        if not (type(p) is int and type(e) is int and 1 <= e <= b.bit_length()
                 and p**e == b):
             raise SchemeFormatError(f"provenance field p={p!r}, e={e!r} does not have {b} elements")
+        modulus = fld.get("modulus")
+        if not (_int_lists(modulus, 1) and len(modulus) == e + 1):
+            raise SchemeFormatError(
+                f"provenance field needs 'modulus' as {e + 1} integer coefficients, got {modulus!r}"
+            )
         mats = record.get("matrices")
         if not _int_lists(mats, 3):
             raise SchemeFormatError(
@@ -496,7 +598,7 @@ def check_net_provenance(record, b: int, m: int, d: int) -> None:
         bases = [c.get("b") if isinstance(c, dict) else None for c in components]
         # every base is >= 2, so more than log2(b) of them cannot multiply to b
         if (len(bases) > b.bit_length()
-                or not all(isinstance(cb, int) and cb >= 2 for cb in bases)
+                or not all(type(cb) is int and cb >= 2 for cb in bases)
                 or math.prod(bases) != b):
             raise SchemeFormatError(f"provenance crt bases {bases!r} do not multiply to {b}")
         for component, cb in zip(components, bases):

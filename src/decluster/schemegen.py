@@ -27,7 +27,6 @@ from .nets import (
     net_from_generators,
     pascal_power_generators,
     regenerate_net,
-    verify_net,
 )
 
 MODES = ("paper", "smallbase", "cyclic", "random", "checkerboard")
@@ -169,7 +168,7 @@ def _check_provenance(scheme: Scheme) -> None:
     if prov.get("kind") == "net":
         base, m = prov.get("base"), prov.get("m")
         points = scheme.M ** (scheme.d - 1)
-        if not (isinstance(base, int) and isinstance(m, int) and 2 <= base <= points
+        if not (type(base) is int and type(m) is int and 2 <= base <= points
                 and 0 <= m <= points.bit_length() and base**m == points):
             raise SchemeFormatError(
                 f"provenance base={base!r}, m={m!r} do not give base^m = M^(d-1) = {points}"
@@ -177,30 +176,28 @@ def _check_provenance(scheme: Scheme) -> None:
         check_net_provenance(prov.get("net"), base, m, scheme.d)
     elif scheme.mode == "cyclic" and prov.get("skews") is not None:
         skews = prov["skews"]
-        if not isinstance(skews, list) or not all(isinstance(v, int) for v in skews):
+        if not isinstance(skews, list) or not all(type(v) is int for v in skews):
             raise SchemeFormatError(f"cyclic skews must be a list of integers, got {skews!r}")
-    elif scheme.mode == "random" and not isinstance(prov.get("seed", 0), int):
-        raise SchemeFormatError(f"random seed must be an integer, got {prov['seed']!r}")
+    elif scheme.mode == "random":
+        if type(prov.get("seed", 0)) is not int:
+            raise SchemeFormatError(f"random seed must be an integer, got {prov['seed']!r}")
+        if prov.get("base", "cyclic") != "cyclic":
+            raise SchemeFormatError(f"random schemes scramble the cyclic one, not {prov['base']!r}")
 
 
 def regenerate_scheme(scheme: Scheme) -> Scheme:
     """Rebuild a scheme purely from its mode and provenance record.
 
     Used by the verifier: the rebuilt anchor map must match the stored one.
-    The record's shape is checked first (``_check_provenance``).
+    The record's shape is checked first (``_check_provenance``); the net a
+    record names is balance-checked by the constructor that rebuilds it.
     """
     _check_provenance(scheme)
     M, d = scheme.M, scheme.d
     prov = scheme.provenance
     if prov.get("kind") == "net":
-        net = regenerate_net(prov["net"])
-        check = verify_net(net, 0)
-        if not check.ok:
-            raise SchemeFormatError(
-                "provenance net fails its balance check: "
-                f"levels={check.violation.levels} offsets={check.violation.offsets}"
-            )
-        coloring = coloring_from_net(net, M)
+        # regenerate_net refuses an unbalanced net (NetConstructionError)
+        coloring = coloring_from_net(regenerate_net(prov["net"]), M)
         return Scheme(
             coloring=coloring,
             mode=scheme.mode,

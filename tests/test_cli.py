@@ -6,12 +6,17 @@ import itertools
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import decluster.cli
 import decluster.gf
 import decluster.nets
 from decluster.cli import _parse_box, _parse_int_list, build_parser, main
+from decluster.coloring import scheme_to_json_bytes
 from decluster.discrepancy import Box
 from decluster.errors import DeclusterError
+from decluster.schemegen import generate_scheme
 
 
 def run(capsys, *argv):
@@ -130,6 +135,150 @@ def test_verify_non_latin_scheme_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "anchor",
+    [[2.9, "3", 4, 5, 1], [2**70, 3, 4, 5, 1], [2, 3, 4, 5, True]],
+    ids=["float-and-string", "2^70", "boolean"],
+)
+def test_verify_refuses_non_integer_anchor_entries(tmp_path, capsys, anchor):
+    out = tmp_path / "scheme.json"
+    run(capsys, "generate", "--disks", "5", "--dim", "2", "--mode", "cyclic",
+        "--out", str(out))
+    data = json.loads(out.read_text())
+    assert data["anchor"] == [2, 3, 4, 5, 1]
+    data["anchor"] = anchor  # each read as [2, 3, 4, 5, 1] by int(), or out of int64
+    out.write_text(json.dumps(data))
+    code, stdout, stderr = run(capsys, "verify", "--scheme", str(out))
+    assert code == 1
+    assert stdout.startswith("FAIL: ") and "PASS" not in stdout
+    assert stderr == ""
+
+
+@pytest.mark.parametrize(
+    "M, d, mode",
+    [(9, 3, "paper"), (8, 3, "paper"), (25, 2, "paper"), (16, 3, "smallbase"),
+     (27, 4, "smallbase"), (64, 2, "smallbase")],
+)
+def test_generate_and_verify_count_no_points(tmp_path, capsys, monkeypatch, M, d, mode):
+    # Generator nets are gated by rank; point counting is left to residue
+    # composition, which these prime-power disk counts do not need.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_net ran on the design path")
+
+    monkeypatch.setattr(decluster.nets, "verify_net", refuse)
+    monkeypatch.setattr(decluster.cli, "verify_net", refuse)
+    out = tmp_path / "scheme.json"
+    code, _, _ = run(capsys, "generate", "--disks", str(M), "--dim", str(d), "--mode", mode,
+                     "--out", str(out))
+    assert code == 0
+    code, stdout, _ = run(capsys, "verify", "--scheme", str(out))
+    assert code == 0 and stdout.strip().endswith("PASS")
+
+
+# -- malformed scheme documents ------------------------------------------------------
+
+_DOC_SPECS = [(5, 2, "cyclic"), (4, 3, "random"), (6, 2, "paper"), (5, 3, "paper"),
+              (4, 3, "smallbase"), (2, 3, "checkerboard")]
+
+
+@functools.cache
+def _scheme_text(M, d, mode):
+    return scheme_to_json_bytes(generate_scheme(M, d, mode, seed=3)).decode()
+
+
+_OBJECT = st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2)
+_NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                     st.lists(st.integers(0, 9), max_size=2), _OBJECT)
+_NOT_STR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.lists(st.text(max_size=2), max_size=2), _OBJECT)
+_NOT_LIST = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                      _OBJECT)
+_NOT_OBJECT = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                        st.lists(st.integers(0, 9), max_size=3))
+
+
+def _mutate(data, doc):
+    """Give doc's anchor, provenance or warnings a wrong type, length or nesting."""
+    M, anchor, warnings = doc["M"], doc["anchor"], doc["warnings"]
+    target = data.draw(st.sampled_from(["anchor", "provenance", "warnings"]))
+    if target == "anchor":
+        i = data.draw(st.integers(0, len(anchor) - 1))
+        how = data.draw(st.sampled_from(["replace", "entry", "lookalike", "range", "wrap-entry",
+                                         "wrap", "drop", "extend"]))
+        if how == "replace":
+            doc["anchor"] = data.draw(st.one_of(_NOT_LIST, st.lists(st.integers(1, M), max_size=2)))
+        elif how == "entry":
+            anchor[i] = data.draw(_NOT_INT)
+        elif how == "lookalike":  # the same number as a string, a float or a boolean
+            anchor[i] = data.draw(st.sampled_from([str(anchor[i]), float(anchor[i]),
+                                                   anchor[i] == 1]))
+        elif how == "range":
+            anchor[i] = data.draw(st.integers(-(2**80), 0) | st.integers(M + 1, 2**80))
+        elif how == "wrap-entry":
+            anchor[i] = [anchor[i]]
+        elif how == "wrap":
+            doc["anchor"] = [anchor]
+        elif how == "drop":
+            del anchor[i]
+        else:
+            anchor.append(anchor[i])
+    elif target == "provenance":
+        if data.draw(st.booleans()):
+            doc["provenance"] = data.draw(_NOT_OBJECT)
+        else:
+            doc["provenance"] = [doc["provenance"]]
+    else:
+        how = data.draw(st.sampled_from(["replace", "entry", "wrap"]))
+        if how == "replace":
+            doc["warnings"] = data.draw(_NOT_LIST)
+        elif how == "entry":
+            warnings.append(data.draw(_NOT_STR))
+        else:
+            doc["warnings"] = [warnings]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=st.sampled_from(_DOC_SPECS), data=st.data())
+def test_malformed_scheme_documents_fail_cleanly(tmp_path, capsys, spec, data):
+    doc = json.loads(_scheme_text(*spec))
+    _mutate(data, doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", "--scheme", str(path))
+    assert code == 1
+    assert stdout.startswith("FAIL: ") and "PASS" not in stdout and stderr == ""
+    code, stdout, stderr = run(capsys, "evaluate", "--scheme", str(path), "--extent", str(spec[0]))
+    assert code == 1
+    assert stdout == "" and stderr.startswith("error: ")
+
+
+def _leaves(node, path=()):
+    """(path, value) of every non-container value in a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, node
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=st.sampled_from([s for s in _DOC_SPECS if s[2] != "checkerboard"]), data=st.data())
+def test_provenance_values_of_a_wrong_type_fail_verify(tmp_path, capsys, spec, data):
+    # evaluate reads only the anchor map, so only verify sees these
+    doc = json.loads(_scheme_text(*spec))
+    where, leaf = data.draw(st.sampled_from(list(_leaves(doc["provenance"]))))
+    *parents, last = where
+    node = functools.reduce(lambda node, key: node[key], parents, doc["provenance"])
+    node[last] = data.draw(_NOT_INT if type(leaf) is int else _NOT_STR)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", "--scheme", str(path))
+    assert code == 1
+    assert "FAIL: " in stdout and "PASS" not in stdout and stderr == ""
+
+
+@pytest.mark.parametrize(
     "path, value",
     [
         (("provenance", "net"), "generators"),
@@ -229,6 +378,21 @@ def test_verify_refuses_provenance_sizes_that_disagree(tmp_path, capsys, monkeyp
 def test_verify_missing_file(tmp_path, capsys):
     code, _, stderr = run(capsys, "verify", "--scheme", str(tmp_path / "nope.json"))
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"version": 1, "M": 5, "d": 2, "mode": "cyclic", "anchor": [\xff]}',
+     b'{"version": 1, "M": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf8", "5000-digit-integer"],
+)
+def test_unreadable_scheme_files_fail_cleanly(tmp_path, capsys, content):
+    path = tmp_path / "scheme.json"
+    path.write_bytes(content)
+    code, stdout, stderr = run(capsys, "verify", "--scheme", str(path))
+    assert code == 1 and stdout.startswith("FAIL: not valid JSON") and stderr == ""
+    code, stdout, stderr = run(capsys, "evaluate", "--scheme", str(path), "--extent", "5")
+    assert code == 1 and stderr.startswith("error: not valid JSON")
 
 
 # -- net ------------------------------------------------------------------------------

@@ -76,6 +76,23 @@ def test_anchor_tensor_is_built_once_and_read_only():
         tensor[0, 0] = 1
 
 
+def test_anchor_is_converted_and_checked_once():
+    given = np.array([2, 3, 1])
+    col = LatinColoring(M=3, d=2, anchor=given)
+    assert col.anchor == (2, 3, 1) and all(type(v) is int for v in col.anchor)
+    given[0] = 1  # the coloring holds its own copy
+    assert col.anchor_tensor().tolist() == [2, 3, 1]
+    assert LatinColoring(M=1, d=100, anchor=[1]).anchor == (1,)
+    assert make_baseline("cyclic", 1, 70).coloring.anchor == (1,)  # no 69-axis array
+    bad = [[2.0, 3, 1], ["2", 3, 1], [2, 3, True], [2, 3, [1]], [[2, 3, 1]], [2, 3, 2**70],
+           [2, 3, 0], [2, 3], 7, None]
+    for anchor in bad:
+        with pytest.raises(ParameterError):
+            LatinColoring(M=3, d=2, anchor=anchor)
+    with pytest.raises(ParameterError, match="entries"):  # no 2^(10^9) is formed
+        LatinColoring(M=2, d=10**9, anchor=[1, 2])
+
+
 def test_color_class_one_is_the_anchor_set():
     net = net_from_generators(pascal_power_generators(3, 2, 1))
     col = coloring_from_net(net, 3)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decluster.errors import NetConstructionError, ParameterError, SchemeFormatError
 from decluster.gf import field_for, field_for_order
@@ -22,6 +24,7 @@ from decluster.nets import (
     net_to_dict,
     pascal_power_generators,
     permutation_net,
+    rank_gate,
     regenerate_net,
     save_net,
     verify_net,
@@ -285,6 +288,69 @@ def test_net_from_generators_rejects_bad_matrices():
         net_from_generators(singular)
     assert err.value.interval is not None
     assert err.value.found != err.value.expected
+
+
+def _points_without_gate(gens):
+    """The point set net_from_generators builds, made here without its gate."""
+    fld, m, d = gens.field, gens.m, gens.d
+    ks = np.arange(fld.q**m, dtype=np.int64)
+    index_digits = (ks[:, None] // fld.q ** np.arange(m, dtype=np.int64)) % fld.q
+    digits = np.zeros((len(ks), d, m), dtype=np.int64)
+    for j, mat in enumerate(gens.matrices):
+        digits[:, j, :] = fld.matvec(mat, index_digits)
+    return DigitalNet(params=NetParams(b=fld.q, m=m, d=d), digits=digits)
+
+
+@st.composite
+def generator_sets(draw):
+    """Generator matrices over prime and extension fields with q <= 27, m <= 4
+    (at most 20 000 points), d <= min(q+1, 4): Pascal matrices (balanced),
+    Pascal matrices with one entry changed, and random or sparse matrices
+    (often singular)."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]))
+    d = draw(st.integers(1, min(q + 1, 4)))
+    m = draw(st.integers(0, max(k for k in range(5) if q**k <= 20_000)))  # q^m points
+    kind = draw(st.sampled_from(["pascal", "perturbed", "random", "sparse"]))
+    if kind == "random" or kind == "sparse" or m == 0:
+        entry = st.integers(0, q - 1)
+        if kind == "sparse":
+            entry = st.one_of(st.just(0), st.just(0), entry)
+        mats = [[[draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(d)]
+    else:
+        mats = [[list(row) for row in mat] for mat in pascal_power_generators(q, d, m).matrices]
+        if kind == "perturbed":
+            j, r, c = draw(st.integers(0, d - 1)), draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            mats[j][r][c] = draw(st.integers(0, q - 1))
+    return GeneratorSet(
+        field=field_for_order(q), m=m, d=d,
+        matrices=tuple(tuple(tuple(row) for row in mat) for mat in mats),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(gens=generator_sets())
+def test_rank_gate_agrees_with_point_counting(gens):
+    check = verify_net(_points_without_gate(gens), 0)
+    assert rank_gate(gens) == check.ok
+    if check.ok:
+        assert np.array_equal(net_from_generators(gens).digits, _points_without_gate(gens).digits)
+    else:
+        with pytest.raises(NetConstructionError) as err:
+            net_from_generators(gens)
+        assert err.value.interval == check.violation
+        assert (err.value.found, err.value.expected) == (check.found_points, check.expected_points)
+
+
+def test_rank_gate_expands_extension_field_entries():
+    # Over GF(4) = GF(2)[x]/(x^2+x+1), [[1, x], [x, x+1]] has determinant
+    # x+1 - x^2 = 0 (x^2 = x+1): singular, though no entry is 0 and no row
+    # repeats over GF(2).
+    f = field_for_order(4)
+    ident = ((1, 0), (0, 1))
+    singular = GeneratorSet(field=f, m=2, d=1, matrices=(((1, 2), (2, 3)),))
+    assert not rank_gate(singular)
+    assert rank_gate(GeneratorSet(field=f, m=2, d=1, matrices=(ident,)))
+    assert not verify_net(_points_without_gate(singular), 0).ok
 
 
 # -- determinism and serialization -------------------------------------------

@@ -2,14 +2,18 @@
 
 import hashlib
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decluster.coloring import (
     DEGENERATE_TWO_DIM,
     TRIVIAL_SINGLE_DISK,
     load_scheme,
     save_scheme,
+    scheme_to_dict,
     scheme_to_json_bytes,
     verify_latin,
 )
@@ -152,6 +156,43 @@ def test_paper_extension_fields_above_256_are_pinned(M, digest):
     scheme = generate_scheme(M, 3, "paper")
     assert hashlib.sha256(scheme_to_json_bytes(scheme)).hexdigest() == digest
     assert regenerate_scheme(scheme).coloring.anchor == scheme.coloring.anchor
+
+
+@pytest.mark.parametrize(
+    "M, d, mode, seed, digest",
+    [
+        (256, 3, "smallbase", None, "0cc6832ff448bc14f31880cca0b3c1f044e84e8e7ee4242f636e02bf5b98d61d"),
+        (343, 3, "smallbase", None, "df5a5f8a3379246c22e02dcb23739f80e917f9843d734b17a46939e349052035"),
+        (27, 4, "smallbase", None, "4b62199e93a9ce191692753d5bb4e35482ed666af085664e97d2c3cf9c894a61"),
+        (256, 3, "cyclic", None, "6c731dacd36363586a131ed14e3c6aff2a8e0c4189144a7cfe201a148d2740ed"),
+        (256, 3, "random", 5, "528bd854386b9d0168537c561c3086537e62796b65aba6327d2ff44a51dc1da0"),
+    ],
+    ids=["smallbase-256-d3", "smallbase-343-d3", "smallbase-27-d4", "cyclic-256-d3",
+         "random-256-d3-seed5"],
+)
+def test_scheme_bytes_are_pinned(M, d, mode, seed, digest):
+    scheme = generate_scheme(M, d, mode, seed=seed)
+    assert hashlib.sha256(scheme_to_json_bytes(scheme)).hexdigest() == digest
+
+
+_SMALL_SCHEMES = st.one_of(
+    st.tuples(st.integers(1, 40), st.integers(1, 3), st.sampled_from(["cyclic", "random"])),
+    st.tuples(st.just(2), st.integers(1, 5), st.just("checkerboard")),
+    st.tuples(st.sampled_from([3, 4, 5, 6, 7, 8, 9, 12, 16]), st.integers(1, 3),
+              st.sampled_from(["paper", "smallbase"])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_SMALL_SCHEMES, seed=st.integers(0, 2**31 - 1))
+def test_scheme_bytes_equal_the_indented_json_encoder(spec, seed):
+    M, d, mode = spec
+    try:
+        scheme = generate_scheme(M, d, mode, seed=seed)
+    except ParameterError:  # e.g. smallbase over a non-prime-power M
+        return
+    expected = json.dumps(scheme_to_dict(scheme), indent=2, sort_keys=True) + "\n"
+    assert scheme_to_json_bytes(scheme) == expected.encode()
 
 
 def test_roundtrip_is_byte_identical(tmp_path):

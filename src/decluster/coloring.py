@@ -28,12 +28,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidNetError, ParameterError, SchemeFormatError
-from .nets import DigitalNet
+from .nets import DigitalNet, base_exponent
 
 SCHEME_FORMAT_VERSION = 1
 
 TRIVIAL_SINGLE_DISK = "trivial-single-disk"
 DEGENERATE_TWO_DIM = "degenerate-planar-construction"
+
+# Most axes a numpy array may have (32 before numpy 2.0).
+MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+
+
+def check_axes(axes: int, d: int) -> None:
+    """Refuse a d-dimensional job whose arrays need more axes than numpy has."""
+    if axes > MAX_AXES:
+        raise ParameterError(
+            f"d={d} needs arrays of {axes} axes; numpy supports at most {MAX_AXES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -105,12 +116,14 @@ class LatinColoring:
 
     @functools.cached_property
     def _anchor_array(self) -> np.ndarray:
+        check_axes(self.d - 1, self.d)
         return self._flat.reshape((self.M,) * (self.d - 1))
 
     def anchor_tensor(self) -> np.ndarray:
         """Anchor map as a read-only int64 array of shape (M,) * (d-1).
 
         A view of the array checked at construction, shared by every call.
+        ParameterError if d - 1 is more axes than numpy supports.
         """
         return self._anchor_array
 
@@ -217,13 +230,7 @@ def coloring_from_net(net: DigitalNet, M: int) -> LatinColoring:
     and the anchor map records where.
     """
     b, m, d = net.params.b, net.params.m, net.params.d
-    k = 0
-    mm = 1
-    while mm < M:
-        mm *= b
-        k += 1
-    if mm != M or k == 0:
-        raise ParameterError(f"M={M} is not a positive power of the point-set base b={b}")
+    k = base_exponent(M, b)
     if m != k * (d - 1):
         raise ParameterError(
             f"point set has m={m} digits per coordinate, need k*(d-1) = {k * (d - 1)}"
@@ -351,6 +358,7 @@ def color_grid(source, extent: int) -> np.ndarray:
     if d == 1:
         anchor0 = coloring.anchor[0] - 1
         return ((resid - anchor0) % M + 1).astype(np.int64)
+    check_axes(d, d)  # the grid
     tensor = coloring.anchor_tensor()  # (M,)*(d-1)
     anchors = tensor[np.ix_(*([resid] * (d - 1)))] - 1  # (N,)*(d-1), 0-based
     x1 = resid.reshape((extent,) + (1,) * (d - 1))

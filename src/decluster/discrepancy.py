@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coloring import LatinColoring, Scheme, color_grid
+from .coloring import LatinColoring, Scheme, check_axes, color_grid
 from .errors import BudgetExceededError, ParameterError
 from .nets import DigitalNet
 
@@ -236,7 +236,9 @@ class RangeCounter:
 
     def __init__(self, source, extent: int, *, M: int | None = None, max_cells: int | None = None):
         grid, M_, d = _resolve_grid(source, extent, M)
-        _check_budget(extent**d * M_, f"N^d * colors = {extent}^{d} * {M_}", max_cells)
+        _check_budget(
+            (extent + 1) ** d * M_, f"(N+1)^d * colors = {extent + 1}^{d} * {M_}", max_cells
+        )
         self.M = M_
         self.d = d
         self.extent = extent
@@ -322,10 +324,10 @@ def periodic_box_counts(source, box: Box) -> np.ndarray:
             f"box {box} holds {box.cardinality} blocks; periodic counts are "
             "exact only below 2^62"
         )
+    anchors = coloring.anchor_tensor().reshape(-1)  # refuses d beyond numpy's axes first
     hits = [_residue_hits(lo, hi, M) for lo, hi in zip(box.lo[1:], box.hi[1:])]
     lead = hits[0] if hits else np.ones(1, dtype=np.int64)
     inner = functools.reduce(np.multiply.outer, hits[1:], np.ones((), dtype=np.int64)).reshape(-1)
-    anchors = coloring.anchor_tensor().reshape(-1)
     h = np.zeros(M + 1, dtype=np.int64)  # indexed by anchor value
     rows = max(1, _CHUNK_ELEMS // inner.size)  # x_2 values per block of the outer product
     for at in range(0, len(lead), rows):
@@ -446,13 +448,15 @@ def _scan_boxes(
     per entry of ``signs``: peaks[k*W + w] is the largest box sum of
     sign * plane k in window w, and key the lex-min (lo, hi, k*W + w + 1)
     attaining peaks.max(), with 1-based inclusive corners.  The cell budget
-    counts (N + W - 1) * N^(d-1) * K and is checked before any allocation.
+    counts the prefix table, (N + W - 1) * (N + 1)^(d-1) * K cells, and is
+    checked before any allocation.
     """
     L, d, K, W = labels.shape[0], labels.ndim, weights.shape[0], windows
     N = L - W + 1
+    check_axes(d + 1, d)  # the prefix table
     _check_budget(
-        L * N ** (d - 1) * K,
-        f"(N+W-1) * N^(d-1) * planes = {L} * {N}^{d - 1} * {K}",
+        L * (N + 1) ** (d - 1) * K,
+        f"(N+W-1) * (N+1)^(d-1) * planes = {L} * {N + 1}^{d - 1} * {K}",
         max_cells,
     )
 
@@ -521,6 +525,8 @@ def _scan_input(source, extent: int, M: int | None):
     gives a box's per-color counts by a route independent of the scan.
     """
     coloring = source.coloring if isinstance(source, Scheme) else source
+    if isinstance(coloring, LatinColoring):
+        check_axes(coloring.d + 1, coloring.d)  # the prefix table of ``_scan_boxes``
     if isinstance(coloring, LatinColoring) and extent >= coloring.M:
         M, d = coloring.M, coloring.d
         resid = np.arange(extent, dtype=np.int64) % M
@@ -804,6 +810,7 @@ def find_positive_witness(coloring: LatinColoring | Scheme) -> WitnessCertificat
     if isinstance(coloring, Scheme):
         coloring = coloring.coloring
     M, d = coloring.M, coloring.d
+    check_axes(d + 1, d)  # the prefix table of ``_scan_boxes``
     if d < 2:
         raise ParameterError("certificates need d >= 2")
     if d >= 3 and M < 3:

@@ -14,6 +14,12 @@ returning and refuses to hand out a defective point set: generator nets by
 the rank of their matrices (``rank_gate``), residue compositions by counting
 points in every elementary interval (``verify_net``).  A permutation net is
 balanced whenever ``permutation_net`` accepts its permutation.
+
+The scheme path needs only a net's anchor map (which axis-1 cell holds the
+one point on each line).  For a generator net that is the linear map
+A = C_1[:k] B^-1 of ``generator_anchor``, read off the matrices after the
+rank gate, so a prime-power scheme builds no point set; residue
+compositions are built and counted as above.
 """
 
 from __future__ import annotations
@@ -103,6 +109,14 @@ class GeneratorSet:
         for mat in self.matrices:
             if len(mat) != self.m or any(len(row) != self.m for row in mat):
                 raise ParameterError("generator matrices must be m x m")
+
+    def as_dict(self) -> dict:
+        """The provenance record of the net these matrices generate."""
+        return {
+            "kind": "generators",
+            "field": self.field.as_dict(),
+            "matrices": [[list(row) for row in mat] for mat in self.matrices],
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,11 +315,13 @@ def _expanded_matrices(gens: GeneratorSet) -> np.ndarray:
     """The d generator matrices written over Z_p, shape (d, m*e, m*e).
 
     Over GF(p^e) each entry c becomes the e-by-e matrix L_c of multiplication
-    by c on coefficient vectors (row t holds the coefficients of c * x^t, as
-    in ``PrimePowerField.matvec``).  c -> L_c is an injective ring
-    homomorphism into commuting matrices, so the expansion of a square
-    matrix has the norm of its determinant as determinant: one is invertible
-    over Z_p exactly when the other is invertible over GF(p^e).
+    by c on coefficient vectors: column t holds the coefficients of c * x^t,
+    so the expansion of C times the stacked coefficient vectors of v is the
+    stack of those of C v.  c -> L_c is an injective ring homomorphism into
+    commuting matrices, so the expansion of a square matrix has the norm of
+    its determinant as determinant: one is invertible over Z_p exactly when
+    the other is invertible over GF(p^e), and the expansion of an inverse is
+    the inverse of the expansion.
     """
     fld = gens.field
     p, e, m, d = fld.p, fld.e, gens.m, gens.d
@@ -317,22 +333,26 @@ def _expanded_matrices(gens: GeneratorSet) -> np.ndarray:
     products = fld.matvec(entries[:, None], (p ** np.arange(e, dtype=np.int64))[:, None])
     lin = products.T[:, :, None] // p ** np.arange(e, dtype=np.int64) % p  # (entries, t, coeff)
     blocks = lin[where.reshape(d, m, m)]  # (d, row, col, t, coeff)
-    return blocks.transpose(0, 1, 3, 2, 4).reshape(d, m * e, m * e)
+    return blocks.transpose(0, 1, 4, 2, 3).reshape(d, m * e, m * e)
 
 
-def _all_invertible_mod_p(stack: np.ndarray, p: int) -> bool:
-    """Whether every matrix of ``stack`` (k, n, n), entries in [0, p), is invertible mod p.
+def _invertible_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of ``stack`` (k, n, n), entries in [0, p), are invertible mod p.
 
     Batched fraction-free Gaussian elimination: each step swaps a nonzero
     pivot up and replaces every lower row r by pivot * r - r[c] * pivot row,
     which keeps the rank and needs no inverses.  Products stay below p^2.
+    A matrix with no nonzero pivot left in some column is singular; its
+    later steps run on but decide nothing.
     """
     k, n, _ = stack.shape
     every = np.arange(k)
+    ok = np.ones(k, dtype=bool)
     for c in range(n):
         nonzero = stack[:, c:, c] != 0
-        if not nonzero.any(axis=1).all():
-            return False
+        ok &= nonzero.any(axis=1)
+        if not ok.any():
+            break
         pivot = c + nonzero.argmax(axis=1)
         top = stack[every, pivot, c:]
         stack[every, pivot, c:] = stack[:, c, c:]
@@ -341,24 +361,21 @@ def _all_invertible_mod_p(stack: np.ndarray, p: int) -> bool:
         stack[:, c + 1 :, c:] = (
             below * top[:, None, :1] - below[:, :, :1] * top[:, None, :]
         ) % p
-    return True
+    return ok
 
 
-def rank_gate(gens: GeneratorSet) -> bool:
-    """Whether the generator matrices give a point set balanced at t=0.
+def _first_singular_composition(gens: GeneratorSet) -> tuple[int, ...] | None:
+    """The first (l_1, ..., l_d) in ``_compositions`` order that the rank criterion refuses.
 
-    By the rank criterion (Niederreiter 1992, ch. 4; Dick & Pillichshammer
-    2010, ch. 4): the net is balanced iff for every (l_1, ..., l_d) with sum
-    m, the first l_j rows of each C_j together are linearly independent over
-    GF(q).  The C(m+d-1, d-1) square matrices this names are stacked,
-    written over Z_p (``_expanded_matrices``) and eliminated together, a
-    bounded number of bytes at a time.  Agrees with ``verify_net(net, 0).ok``
-    on the net ``net_from_generators`` builds, without counting its points.
+    For each composition of m the first l_j rows of each C_j are stacked
+    into one square matrix; ``None`` when every one of them is invertible.
+    The C(m+d-1, d-1) matrices are written over Z_p (``_expanded_matrices``)
+    and eliminated together, a bounded number of bytes at a time.
     """
     fld = gens.field
     p, e, m, d = fld.p, fld.e, gens.m, gens.d
     if m == 0:
-        return True
+        return None
     n = m * e
     rows = _expanded_matrices(gens).reshape(d * n, n)
     levels = np.array(list(_compositions(m, d)), dtype=np.int64)  # (k, d)
@@ -370,10 +387,107 @@ def rank_gate(gens: GeneratorSet) -> bool:
     local = s - np.take_along_axis(ends - levels, owner, axis=1)
     pick = ((owner * n + local * e)[:, :, None] + np.arange(e)).reshape(len(levels), n)
     chunk = max(1, _GATE_CHUNK_BYTES // (8 * n * n))
-    return all(
-        _all_invertible_mod_p(rows[pick[lo : lo + chunk]], p)
-        for lo in range(0, len(pick), chunk)
-    )
+    for lo in range(0, len(pick), chunk):
+        ok = _invertible_mod_p(rows[pick[lo : lo + chunk]], p)
+        if not ok.all():
+            return tuple(levels[lo + int(np.argmin(ok))].tolist())
+    return None
+
+
+def rank_gate(gens: GeneratorSet) -> bool:
+    """Whether the generator matrices give a point set balanced at t=0.
+
+    By the rank criterion (Niederreiter 1992, ch. 4; Dick & Pillichshammer
+    2010, ch. 4): the net is balanced iff for every (l_1, ..., l_d) with sum
+    m, the first l_j rows of each C_j together are linearly independent over
+    GF(q) (``_first_singular_composition``).  Agrees with
+    ``verify_net(net, 0).ok`` on the net ``net_from_generators`` builds,
+    without counting its points.
+    """
+    return _first_singular_composition(gens) is None
+
+
+def base_exponent(M: int, b: int) -> int:
+    """The k >= 1 with b^k = M; ParameterError if there is none."""
+    k, power = 0, 1
+    while power < M:
+        power *= b
+        k += 1
+    if power != M or k == 0:
+        raise ParameterError(f"M={M} is not a positive power of the point-set base b={b}")
+    return k
+
+
+def _right_divide_mod_p(lhs: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray:
+    """The X with X @ rhs = lhs mod p, for rhs invertible mod p.
+
+    Gauss-Jordan on [rhs^T | lhs^T]: once the left block is the identity,
+    the right block is X^T.  Products stay below p^2.
+    """
+    n = len(rhs)
+    aug = np.concatenate((rhs.T, lhs.T), axis=1) % p
+    for c in range(n):
+        pivot = c + int(np.flatnonzero(aug[c:, c])[0])
+        aug[[c, pivot]] = aug[[pivot, c]]
+        aug[c] = aug[c] * pow(int(aug[c, c]), -1, p) % p
+        factors = aug[:, c].copy()
+        factors[c] = 0
+        aug = (aug - factors[:, None] * aug[c]) % p
+    return aug[:, n:].T
+
+
+def generator_anchor(gens: GeneratorSet, M: int) -> np.ndarray:
+    """The anchor map of the net the generators define, read off the matrices.
+
+    With M = q^k and m = k(d-1), the line of rank r has the base-q digits
+    y = (first k digits of x_2, ..., first k digits of x_d), most
+    significant first; these are B a for B = [C_2[:k]; ...; C_d[:k]] and the
+    index digits a of the one net point on the line.  The rank criterion's
+    composition (0, k, ..., k) makes B invertible, so that point's first k
+    digits of x_1 are A y with A = C_1[:k] B^-1, one k-by-m map: the anchor
+    of line r is A y read as a base-q integer, plus 1.  Over GF(p^e) A is
+    solved on the expansions over Z_p (``_expanded_matrices``); y's
+    coefficients are then the base-p digits of r and A y's are those of the
+    anchor.  A is applied as per-digit contributions joined by outer sums,
+    O(k e) work per line, and no point of the net is built.
+
+    Returns the flat 1-based int64 anchor array, row-major in (x_2, ..., x_d)
+    as ``LatinColoring`` takes it.  Raises ParameterError if M is not a
+    positive power of q or m != k(d-1), and NetConstructionError naming the
+    first composition the rank criterion refuses.
+    """
+    fld = gens.field
+    p, e, q, m, d = fld.p, fld.e, fld.q, gens.m, gens.d
+    k = base_exponent(M, q)
+    if m != k * (d - 1):
+        raise ParameterError(
+            f"point set has m={m} digits per coordinate, need k*(d-1) = {k * (d - 1)}"
+        )
+    levels = _first_singular_composition(gens)
+    if levels is not None:
+        raise NetConstructionError(
+            f"generator matrices over GF({q}) fail the rank criterion: the first "
+            f"l_j rows of each C_j for (l_1..l_d) = {levels} are linearly dependent"
+        )
+    lead = _expanded_matrices(gens)[:, : k * e]  # first k rows of each C_j over Z_p
+    A = _right_divide_mod_p(lead[0], lead[1:].reshape(m * e, m * e), p)  # (k e, m e)
+    coeffs = np.arange(q)[:, None] // p ** np.arange(e) % p  # (q, e): y -> coefficients
+    # contrib[o, j, y]: what digit j = y adds to output coefficient o, mod p;
+    # a line adds m of them, so the smallest dtype holding m(p-1) never wraps;
+    # the weighted sum is taken in int64.
+    dtype = np.min_scalar_type(max(1, m * (p - 1)))
+    contrib = (A.reshape(k * e, m, e) @ coeffs.T % p).astype(dtype)
+    weights = (q ** np.arange(k - 1, -1, -1)[:, None] * p ** np.arange(e)).reshape(-1)
+    anchor = np.ones(q**m, dtype=np.int64)
+    for row, weight in zip(contrib, weights.tolist()):
+        total = np.zeros(1, dtype=dtype)
+        # least significant digit first, each new digit the slowest axis: the
+        # result is row-major in the rank, and numpy's inner loop stays long
+        for digit in row[::-1]:
+            total = np.add.outer(digit, total).reshape(-1)
+        total %= p
+        anchor += np.multiply(total, weight, dtype=np.int64)
+    return anchor
 
 
 def net_from_generators(gens: GeneratorSet) -> DigitalNet:
@@ -394,12 +508,9 @@ def net_from_generators(gens: GeneratorSet) -> DigitalNet:
     digits = np.zeros((n, d, m), dtype=np.int64)
     for j, mat in enumerate(gens.matrices):
         digits[:, j, :] = fld.matvec(mat, idx_digits)
-    provenance = {
-        "kind": "generators",
-        "field": fld.as_dict(),
-        "matrices": [[list(row) for row in mat] for mat in gens.matrices],
-    }
-    net = DigitalNet(params=NetParams(b=q, m=m, d=d, t=0), digits=digits, provenance=provenance)
+    net = DigitalNet(
+        params=NetParams(b=q, m=m, d=d, t=0), digits=digits, provenance=gens.as_dict()
+    )
     if rank_gate(gens):
         return net
     # Refused: count the points already built to name the first bad interval.
@@ -616,15 +727,19 @@ def check_net_provenance(record, b: int, m: int, d: int) -> None:
         raise SchemeFormatError(f"cannot regenerate a net from provenance kind {kind!r}")
 
 
+def generators_from_dict(record: dict) -> GeneratorSet:
+    """The generator matrices of a ``generators`` provenance record."""
+    fld = field_from_dict(record["field"])
+    mats = tuple(tuple(tuple(int(v) for v in row) for row in mat) for mat in record["matrices"])
+    m = len(mats[0]) if mats else 0
+    return GeneratorSet(field=fld, m=m, d=len(mats), matrices=mats)
+
+
 def regenerate_net(provenance: dict) -> DigitalNet:
     """Rebuild a point set from its own provenance record."""
     kind = provenance.get("kind")
     if kind == "generators":
-        fld = field_from_dict(provenance["field"])
-        mats = tuple(tuple(tuple(int(v) for v in row) for row in mat) for mat in provenance["matrices"])
-        m = len(mats[0]) if mats else 0
-        gens = GeneratorSet(field=fld, m=m, d=len(mats), matrices=mats)
-        return net_from_generators(gens)
+        return net_from_generators(generators_from_dict(provenance))
     if kind == "crt":
         comps = [regenerate_net(c) for c in provenance["components"]]
         b = math.prod(c.params.b for c in comps)

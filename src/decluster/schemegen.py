@@ -1,9 +1,13 @@
 """End-to-end scheme construction, regeneration, and experiment sweeps.
 
 ``generate_scheme`` is the front door: it factors the disk count, checks
-the dimensional precondition, builds and verifies the digital net, reads
-off the latin coloring, and packages everything with provenance that is
-sufficient to rebuild the scheme bit for bit.
+the dimensional precondition, reads the latin coloring off the digital
+net, and packages everything with provenance that is sufficient to rebuild
+the scheme bit for bit.  A net over a prime-power base builds no points:
+its rank gate runs and its anchor map is read off the generator matrices
+as one k-by-m linear map (``nets.generator_anchor``).  A composite base
+still builds the residue composition of its prime-power nets, which counts
+its points, and reads the anchor map off those points.
 """
 
 from __future__ import annotations
@@ -16,14 +20,30 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .coloring import DEGENERATE_TWO_DIM, Scheme, coloring_from_net, make_baseline
+from .coloring import (
+    DEGENERATE_TWO_DIM,
+    LatinColoring,
+    Scheme,
+    coloring_from_net,
+    make_baseline,
+    verify_latin,
+)
 from .discrepancy import disc_report
-from .errors import BudgetExceededError, DeclusterError, ParameterError, SchemeFormatError
+from .errors import (
+    BudgetExceededError,
+    DeclusterError,
+    InvalidNetError,
+    ParameterError,
+    SchemeFormatError,
+)
 from .gf import prime_power_decompose
 from .nets import (
     DigitalNet,
+    GeneratorSet,
     check_net_provenance,
     crt_compose,
+    generator_anchor,
+    generators_from_dict,
     net_from_generators,
     pascal_power_generators,
     regenerate_net,
@@ -81,6 +101,21 @@ def build_net(b: int, m: int, d: int) -> DigitalNet:
         net_from_generators(pascal_power_generators(q, d, m)) for q in fac.factors
     ]
     return crt_compose(components, b)
+
+
+def _coloring_from_generators(gens: GeneratorSet, M: int) -> LatinColoring:
+    """The latin coloring of a prime-power generator net, without its points.
+
+    ``generator_anchor`` gates the matrices by rank and reads the anchor map
+    off them; ``verify_latin`` then checks the result independently.
+    """
+    coloring = LatinColoring(M=M, d=gens.d, anchor=generator_anchor(gens, M))
+    check = verify_latin(coloring)
+    if not check.ok:
+        raise InvalidNetError(
+            f"anchor map read off the generator matrices is unbalanced along axis {check.axis}"
+        )
+    return coloring
 
 
 def _smallbase_parameters(M: int, d: int) -> tuple[int, int]:
@@ -147,10 +182,16 @@ def generate_scheme(
     else:
         base, k = _smallbase_parameters(M, d)
         m = k * (d - 1)
-    net = build_net(base, m, d)
-    coloring = coloring_from_net(net, M)
+    if prime_power_decompose(base) is not None:
+        gens = pascal_power_generators(base, d, m)
+        coloring = _coloring_from_generators(gens, M)
+        record = gens.as_dict()
+    else:
+        net = build_net(base, m, d)
+        coloring = coloring_from_net(net, M)
+        record = net.provenance
     warnings = (DEGENERATE_TWO_DIM,) if m == 1 else ()
-    provenance = {"kind": "net", "base": base, "m": m, "net": net.provenance}
+    provenance = {"kind": "net", "base": base, "m": m, "net": record}
     return Scheme(coloring=coloring, mode=mode, provenance=provenance, warnings=warnings)
 
 
@@ -189,15 +230,22 @@ def regenerate_scheme(scheme: Scheme) -> Scheme:
     """Rebuild a scheme purely from its mode and provenance record.
 
     Used by the verifier: the rebuilt anchor map must match the stored one.
-    The record's shape is checked first (``_check_provenance``); the net a
-    record names is balance-checked by the constructor that rebuilds it.
+    The record's shape is checked first (``_check_provenance``).  A
+    generator record is rebuilt as ``generate_scheme`` builds it, from the
+    matrices and without points, once M is known to be a power of its base;
+    a residue record rebuilds its point set, whose constructors check the
+    balance.  Either way the net is refused (NetConstructionError) when it
+    is not balanced.
     """
     _check_provenance(scheme)
     M, d = scheme.M, scheme.d
     prov = scheme.provenance
     if prov.get("kind") == "net":
-        # regenerate_net refuses an unbalanced net (NetConstructionError)
-        coloring = coloring_from_net(regenerate_net(prov["net"]), M)
+        record = prov["net"]
+        if record["kind"] == "generators":
+            coloring = _coloring_from_generators(generators_from_dict(record), M)
+        else:
+            coloring = coloring_from_net(regenerate_net(record), M)
         return Scheme(
             coloring=coloring,
             mode=scheme.mode,

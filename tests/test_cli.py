@@ -10,8 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import decluster.cli
+import decluster.coloring
+import decluster.discrepancy
 import decluster.gf
 import decluster.nets
+import decluster.schemegen
 from decluster.cli import _parse_box, _parse_int_list, build_parser, main
 from decluster.coloring import scheme_to_json_bytes
 from decluster.discrepancy import Box
@@ -153,25 +156,71 @@ def test_verify_refuses_non_integer_anchor_entries(tmp_path, capsys, anchor):
     assert stderr == ""
 
 
+def _refuse_point_sets(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a point set on the scheme path")
+
+    for module in (decluster.nets, decluster.schemegen):
+        monkeypatch.setattr(module, "net_from_generators", refuse)
+    for module in (decluster.coloring, decluster.schemegen):
+        monkeypatch.setattr(module, "coloring_from_net", refuse)
+    monkeypatch.setattr(decluster.nets, "DigitalNet", refuse)
+
+
 @pytest.mark.parametrize(
     "M, d, mode",
-    [(9, 3, "paper"), (8, 3, "paper"), (25, 2, "paper"), (16, 3, "smallbase"),
-     (27, 4, "smallbase"), (64, 2, "smallbase")],
+    [(9, 3, "paper"), (8, 3, "paper"), (25, 2, "paper"), (16, 5, "paper"), (49, 3, "paper"),
+     (16, 3, "smallbase"), (27, 4, "smallbase"), (64, 2, "smallbase"), (125, 3, "smallbase")],
 )
 def test_generate_and_verify_count_no_points(tmp_path, capsys, monkeypatch, M, d, mode):
-    # Generator nets are gated by rank; point counting is left to residue
-    # composition, which these prime-power disk counts do not need.
+    # A prime-power net is gated by rank and its anchor map read off the
+    # generator matrices: no point set is built, let alone counted.
     def refuse(*args, **kwargs):
         raise AssertionError("verify_net ran on the design path")
 
     monkeypatch.setattr(decluster.nets, "verify_net", refuse)
     monkeypatch.setattr(decluster.cli, "verify_net", refuse)
+    _refuse_point_sets(monkeypatch)
     out = tmp_path / "scheme.json"
     code, _, _ = run(capsys, "generate", "--disks", str(M), "--dim", str(d), "--mode", mode,
                      "--out", str(out))
     assert code == 0
     code, stdout, _ = run(capsys, "verify", "--scheme", str(out))
     assert code == 0 and stdout.strip().endswith("PASS")
+
+
+def test_verify_refuses_singular_generators_without_points(tmp_path, capsys, monkeypatch):
+    # smallbase M=4, d=3 is a base-2 net with m=4; equal first rows of C_2
+    # make the composition (0, 2, 2) the first one the rank criterion refuses.
+    out = tmp_path / "scheme.json"
+    run(capsys, "generate", "--disks", "4", "--dim", "3", "--mode", "smallbase", "--out", str(out))
+    data = json.loads(out.read_text())
+    data["provenance"]["net"]["matrices"][1] = [[1, 1, 1, 1]] * 4
+    out.write_text(json.dumps(data))
+    _refuse_point_sets(monkeypatch)
+    code, stdout, stderr = run(capsys, "verify", "--scheme", str(out))
+    assert code == 1
+    assert stdout.count("FAIL: ") == 1 and "PASS" not in stdout
+    assert "rank criterion" in stdout and "(0, 2, 2)" in stdout
+    assert stderr == ""
+
+
+def test_verify_checks_the_disk_count_is_a_power_of_the_base(tmp_path, capsys, monkeypatch):
+    # 4^3 = 8^2, so base 4 with m = 3 passes the size check of an M=8, d=3
+    # record, yet 8 is no power of 4: refused before any digit is split.
+    out = tmp_path / "scheme.json"
+    run(capsys, "generate", "--disks", "8", "--dim", "3", "--mode", "paper", "--out", str(out))
+    data = json.loads(out.read_text())
+    data["provenance"].update(
+        base=4, m=3, net=decluster.nets.pascal_power_generators(4, 3, 3).as_dict()
+    )
+    out.write_text(json.dumps(data))
+    _refuse_point_sets(monkeypatch)
+    code, stdout, stderr = run(capsys, "verify", "--scheme", str(out))
+    assert code == 1
+    assert "FAIL: provenance does not regenerate: M=8 is not a positive power of the " \
+        "point-set base b=4" in stdout
+    assert stderr == ""
 
 
 # -- malformed scheme documents ------------------------------------------------------
@@ -490,6 +539,31 @@ def test_query_refuses_box_beyond_int64(tmp_path, capsys):
     assert code == 1
     assert "response time" not in stdout
     assert stderr.startswith("error: ") and "2^62" in stderr
+
+
+@pytest.mark.parametrize("d", [62, 64, 65, 70])
+def test_single_disk_schemes_beyond_numpy_axes_fail_cleanly(tmp_path, capsys, d):
+    # generate and verify need no d-axis array; the scans and queries do
+    out = tmp_path / "m1.json"
+    assert run(capsys, "generate", "--disks", "1", "--dim", str(d), "--mode", "cyclic",
+               "--out", str(out))[0] == 0
+    assert run(capsys, "verify", "--scheme", str(out))[0] == 0
+    limit = decluster.coloring.MAX_AXES  # 64 since numpy 2.0
+    box = ",".join(["1:1"] * d)
+    csv = tmp_path / "m1.csv"
+    for argv, axes in ((["evaluate", "--extent", "1"], d + 1), (["query", "--box", box], d - 1),
+                       (["export-map", "--extent", "1", "--csv", str(csv)], d),
+                       (["witness"], d + 1)):
+        code, stdout, stderr = run(capsys, argv[0], "--scheme", str(out), *argv[1:])
+        if axes <= limit and argv[0] in ("query", "export-map"):
+            assert code == 0 and ("disk 1: 1" in stdout or "1 rows" in stdout)
+            continue
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+        if axes > limit:
+            assert f"needs arrays of {axes} axes; numpy supports at most {limit}" in stderr
+        elif argv[0] == "evaluate":
+            assert "budget" in stderr
 
 
 def test_export_map(cyclic8, tmp_path, capsys):

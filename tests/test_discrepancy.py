@@ -691,12 +691,21 @@ def test_budget_guard_env_var(monkeypatch):
 
 
 def test_budget_counts_the_cells_the_latin_path_allocates():
-    # one plane on (N + M - 1) * N^(d-1) cells, not M planes on N^d
+    # one plane, a prefix table of (N + M - 1) * (N + 1)^(d-1) cells, not M planes
     scheme = make_baseline("cyclic", 4, 2)
-    cells = (10 + 4 - 1) * 10
+    cells = (10 + 4 - 1) * 11
     assert disc_report(scheme, 10, max_cells=cells).disc_plus.num > 0
-    with pytest.raises(BudgetExceededError, match=f"13 \\* 10\\^1 \\* 1 = {cells} cells"):
+    with pytest.raises(BudgetExceededError, match=f"13 \\* 11\\^1 \\* 1 = {cells} cells"):
         disc_report(scheme, 10, max_cells=cells - 1)
+
+
+def test_budget_counts_the_prefix_table_at_small_extent():
+    # checkerboard M=2, d=12, N=2: N^(d-1) = 2048 would pass a 6144-cell
+    # budget, but the prefix table has 3 * 3^11 = 531 441 cells
+    scheme = make_baseline("checkerboard", 2, 12)
+    for budget in (6144, 531_440):
+        with pytest.raises(BudgetExceededError, match="3 \\* 3\\^11 \\* 1 = 531441 cells"):
+            disc_report(scheme, 2, max_cells=budget)
 
 
 def test_witness_flip_fits_the_scan_budget(monkeypatch):
@@ -704,7 +713,7 @@ def test_witness_flip_fits_the_scan_budget(monkeypatch):
     # recounted from the scanned grid, so the scan's own budget is enough
     scheme = make_baseline("random", 4, 2, seed=1)
     want = find_positive_witness(scheme)
-    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "16")
+    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "20")  # the 4 * 5 prefix table of a 4 x 4 scan
     assert find_positive_witness(scheme) == want
 
 

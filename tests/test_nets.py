@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decluster.coloring import coloring_from_net
 from decluster.errors import NetConstructionError, ParameterError, SchemeFormatError
 from decluster.gf import field_for, field_for_order
 from decluster.nets import (
@@ -18,6 +19,7 @@ from decluster.nets import (
     NetParams,
     crt_compose,
     enumerate_elementary_intervals,
+    generator_anchor,
     load_net,
     net_from_dict,
     net_from_generators,
@@ -301,15 +303,9 @@ def _points_without_gate(gens):
     return DigitalNet(params=NetParams(b=fld.q, m=m, d=d), digits=digits)
 
 
-@st.composite
-def generator_sets(draw):
-    """Generator matrices over prime and extension fields with q <= 27, m <= 4
-    (at most 20 000 points), d <= min(q+1, 4): Pascal matrices (balanced),
-    Pascal matrices with one entry changed, and random or sparse matrices
-    (often singular)."""
-    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]))
-    d = draw(st.integers(1, min(q + 1, 4)))
-    m = draw(st.integers(0, max(k for k in range(5) if q**k <= 20_000)))  # q^m points
+def _draw_matrices(draw, q, d, m):
+    """Pascal matrices (balanced), Pascal matrices with one entry changed, or
+    random or sparse matrices (often singular), over GF(q)."""
     kind = draw(st.sampled_from(["pascal", "perturbed", "random", "sparse"]))
     if kind == "random" or kind == "sparse" or m == 0:
         entry = st.integers(0, q - 1)
@@ -327,6 +323,25 @@ def generator_sets(draw):
     )
 
 
+@st.composite
+def generator_sets(draw):
+    """Generator matrices over prime and extension fields with q <= 27, m <= 4
+    (at most 20 000 points), d <= min(q+1, 4)."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]))
+    d = draw(st.integers(1, min(q + 1, 4)))
+    m = draw(st.integers(0, max(k for k in range(5) if q**k <= 20_000)))  # q^m points
+    return _draw_matrices(draw, q, d, m)
+
+
+@st.composite
+def anchor_generator_sets(draw):
+    """(generators, M) with M = q^k and m = k(d-1), q <= 27, q^m <= 10^5 points."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]))
+    d = draw(st.integers(1, max(d for d in range(1, min(q + 1, 5) + 1) if q ** (d - 1) <= 100_000)))
+    k = draw(st.integers(1, max(k for k in range(1, 17) if q ** (k * (d - 1)) <= 100_000)))
+    return _draw_matrices(draw, q, d, k * (d - 1)), q**k
+
+
 @settings(max_examples=300, deadline=None)
 @given(gens=generator_sets())
 def test_rank_gate_agrees_with_point_counting(gens):
@@ -339,6 +354,45 @@ def test_rank_gate_agrees_with_point_counting(gens):
             net_from_generators(gens)
         assert err.value.interval == check.violation
         assert (err.value.found, err.value.expected) == (check.found_points, check.expected_points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=anchor_generator_sets())
+def test_generator_anchor_matches_the_point_set(case):
+    gens, M = case
+    try:
+        net = net_from_generators(gens)
+    except NetConstructionError as err:
+        # point counting finds its first bad interval in the first composition
+        # whose stacked rows are singular; the matrices name the same one
+        assert not rank_gate(gens)
+        with pytest.raises(NetConstructionError, match="rank criterion") as refused:
+            generator_anchor(gens, M)
+        assert f"= {err.interval.levels} are linearly dependent" in str(refused.value)
+        return
+    assert rank_gate(gens)
+    anchor = generator_anchor(gens, M)
+    assert anchor.dtype == np.int64
+    assert anchor.tolist() == list(coloring_from_net(net, M).anchor)
+
+
+@pytest.mark.parametrize("q, m", [(7, 6), (343, 2)])
+def test_generator_anchor_weights_do_not_wrap(q, m):
+    # M = 343, d = 3 in smallbase (base 7, weight 49 on digit sums up to 6)
+    # and paper mode (GF(343), weight 49 on the x^2 coefficient): digit
+    # sums fit in uint8, their weighted values do not
+    gens = pascal_power_generators(q, 3, m)
+    anchor = generator_anchor(gens, 343)
+    assert anchor.min() == 1 and anchor.max() == 343
+    assert anchor.tolist() == list(coloring_from_net(net_from_generators(gens), 343).anchor)
+
+
+def test_generator_anchor_checks_its_shape_first():
+    gens = pascal_power_generators(4, 3, 3)  # 4^3 = 8^2, but 8 is no power of 4
+    with pytest.raises(ParameterError, match="M=8 is not a positive power of the point-set base b=4"):
+        generator_anchor(gens, 8)
+    with pytest.raises(ParameterError, match="need k\\*\\(d-1\\) = 4"):
+        generator_anchor(gens, 16)
 
 
 def test_rank_gate_expands_extension_field_entries():

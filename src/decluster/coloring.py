@@ -127,6 +127,10 @@ class LatinColoring:
         """
         return self._anchor_array
 
+    @functools.cached_property
+    def _latin_check(self) -> "LatinCheck":
+        return _check_rows(self)
+
 
 @dataclass(frozen=True)
 class Scheme:
@@ -179,8 +183,14 @@ def verify_latin(coloring: LatinColoring) -> LatinCheck:
     the check reduces to: along every other axis, the anchor map restricted
     to a line takes every value in [1, M].  On failure the first violating
     row (ascending axis, then lexicographic position, with x_1 = 1 -- the
-    violation is the same for every x_1) is reported with its colors.
+    violation is the same for every x_1) is reported with its colors.  The
+    coloring is immutable, so the check runs once per coloring and later
+    calls return the same result.
     """
+    return coloring._latin_check
+
+
+def _check_rows(coloring: LatinColoring) -> LatinCheck:
     M, d = coloring.M, coloring.d
     if d == 1 or M == 1:
         return LatinCheck(ok=True)

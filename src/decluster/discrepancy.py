@@ -10,30 +10,43 @@ Every deviation is an integer multiple of 1/M, so all values are carried as
 integers scaled by M (``ScaledValue``) and every comparison is exact.
 
 One kernel, ``_scan_boxes``, does every all-boxes scan.  Given K integer
-weight planes on an axis-1 extent of N + W - 1 cells times [N]^(d-1), it
-returns, per plane and per axis-1 window of N cells (W windows, one step
-apart), the largest box sum of the plane and of its negation, each with the
-lexicographically smallest (lower corner, upper corner, plane and window)
-attaining the overall largest.  It forms prefix sums over axes 2..d once
-and takes the coordinate ranges of axes 2..d ("slabs") in chunks of a fixed
-number of elements, making slab indices per chunk, so memory does not grow
-with the number of slabs.  Per chunk, one vectorised inclusion-exclusion
-gives every slab's line sums along axis 1, and a maximum-subarray sweep of
-their prefix sums (Bentley, Programming Pearls, CACM 1984) gives the best
-axis-1 range of every window at once: all windows share the prefix index
-p = W - 1, so a window's best range lies left of p, right of p, or across
-it, and running maxima and minima give all three for every window in
-O(N + W) per slab.  Work is O(K * (N + W) * N^(2d-2)), the prefix table
-holds K * (N + W - 1) * (N+1)^(d-1) integers, and ties are resolved across
-all chunks, not within one.
+weight planes on P axis-1 rows times [T]^(d-1), read with period P along
+axis 1, it returns, per plane and per axis-1 window of N cells (W windows,
+one step apart), the largest box sum of the plane and of its negation, each
+with the lexicographically smallest (lower corner, upper corner, plane and
+window) attaining the overall largest.  It forms prefix sums over axes 2..d
+once and takes the coordinate ranges of axes 2..d ("slabs") in chunks of a
+fixed number of elements, making slab indices per chunk, so memory does not
+grow with the number of slabs.  Per chunk, one vectorised
+inclusion-exclusion gives every slab's line sums along axis 1, and a
+maximum-subarray sweep of their prefix sums (Bentley, Programming Pearls,
+CACM 1984) gives the best axis-1 range of every window at once, for both
+signs in one pass: all windows share the prefix index p = W - 1, so a
+window's best range lies left of p, right of p, or across it, and running
+maxima and minima give all three for every window in O(N + W) per slab.
+Work is O(K * (N + W) * slabs), the prefix table holds K * P * (T+1)^(d-1)
+integers, and ties are resolved across all chunks, not within one.
+
+On a latin coloring four facts, each proved in ``_scan_boxes`` or
+``disc_report``, cut the scan to a size that stops growing with N:
+
+- (a) one period of axis-1 rows: the line sums repeat with period M and
+  sum to 0 over one period, so P = M rows suffice;
+- (b) fewer slabs: for a coloring that passes ``verify_latin``, only
+  trailing ranges with lo <= M and length < M are scanned;
+- (c) flat windows: from N >= 2M - 2 every window's best is max S - min S
+  of the prefix sums over one period, with no sweep;
+- (d) clamped extent: the lex-min witness has lo <= M and sides < M, so a
+  verified coloring at N > 2M - 2 is scanned at N = 2M - 2 and reported
+  at N.
 
 Its three callers rank the result by their own tie rule:
 
-- ``disc_report``: one plane M * [color = c] - 1 per color and one window,
-  or, for a latin coloring at N >= M, the plane of color 1 under M windows
-  (window c - 1 is color c, by the shift property).  disc+ is the largest
-  sum and disc the largest magnitude, each witnessed by the lex-min
-  (lo, hi, color) attaining it.
+- ``disc_report``: one plane M * [color = c] - 1 per color and one window
+  on [N]^d (P = T = N, every slab), or, for a latin coloring at N >= M, the
+  plane of color 1 under M windows (window c - 1 is color c, by the shift
+  property) with (a)-(d).  disc+ is the largest sum and disc the largest
+  magnitude, each witnessed by the lex-min (lo, hi, color) attaining it.
 - ``find_positive_witness``: one plane for the chosen color, ranked by
   (|deviation|, deviation > 0, lex-min (lo, hi)).
 - ``geometric_discrepancy``: one plane G^d * count - n per 1/G cell, ranked
@@ -55,7 +68,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coloring import LatinColoring, Scheme, check_axes, color_grid
+from .coloring import LatinColoring, Scheme, check_axes, color_grid, verify_latin
 from .errors import BudgetExceededError, ParameterError
 from .nets import DigitalNet
 
@@ -364,46 +377,64 @@ def _validate_witness(counts: np.ndarray, box: Box, color: int) -> int:
     return int(devs[color - 1])
 
 
-def _window_best(S: np.ndarray, W: int) -> np.ndarray:
-    """Largest S[j] - S[i] over i < j inside each prefix-index window [s, s+N].
+def _window_best(S: np.ndarray, W: int, signs: tuple[int, ...]) -> np.ndarray:
+    """Largest sign * (S[j] - S[i]) over i < j inside each prefix-index window [s, s+N].
 
     ``S`` holds prefix sums along axis 0 (length N + W, N >= W); returns the
-    maxima for s = 0..W-1 along axis 0.  Every window contains p = W - 1
-    with at least one right end past it, so a window's best pair lies in
-    [s, p], or in [p, s+N], or straddles p; each part is a running maximum
-    or minimum, so the cost is O(N + W), not O(W * N).
+    maxima as an array indexed [sign, s] for s = 0..W-1.  Every window
+    contains p = W - 1 with at least one right end past it, so a window's
+    best pair lies in [s, p], or in [p, s+N], or has i < p <= j; each part
+    is a running maximum or minimum, so the cost is O(N + W), not O(W * N).
+    One pass serves both signs: the running maximum of -S is minus the
+    running minimum of S, so each sign reads the running extremes of S over
+    [p, t] that the other sign also uses, and no negated copy of S is made.
     """
     N, p = len(S) - W, W - 1
-    gain = S[p + 1 :] - np.minimum.accumulate(S[p:-1], axis=0)  # best ending at j > p
-    best = np.maximum.accumulate(gain[N - W :], axis=0)  # window s ends at s + N
-    if N > W:  # right ends every window contains
-        np.maximum(best, gain[: N - W].max(axis=0), out=best)
-    if p:
-        rise = np.maximum.accumulate(S[p + 1 :], axis=0)[N - W : N - 1]  # max over (p, s+N]
-        low = np.minimum.accumulate(S[p - 1 :: -1], axis=0)[::-1]  # min over [s, p)
-        top = np.maximum.accumulate(S[p:0:-1], axis=0)[::-1]  # max over (i, p]
-        inner = np.maximum.accumulate((top - S[:p])[::-1], axis=0)[::-1]  # pair in [s, p]
-        np.maximum(best[:p], np.maximum(rise - low, inner), out=best[:p])
-    return best
+    right = (np.maximum.accumulate(S[p:], axis=0), np.minimum.accumulate(S[p:], axis=0))
+    out = np.empty((len(signs), W) + S.shape[1:], dtype=S.dtype)
+    for best, sign in zip(out, signs):
+        # up / down applied to S give sign * (running max / min of sign * S)
+        up, down = (np.maximum, np.minimum)[::sign]
+        high, low = right[::sign]  # the same over [p, t]
+
+        def rise(a, b):  # sign * (a - b)
+            return a - b if sign > 0 else b - a
+
+        gain = rise(S[p + 1 :], low[:-1])  # best pair ending at j > p
+        np.maximum.accumulate(gain[N - W :], axis=0, out=best)  # window s ends at s + N
+        if N > W:  # right ends every window contains
+            np.maximum(best, gain[: N - W].max(axis=0), out=best)
+        if p:
+            before = down.accumulate(S[p - 1 :: -1], axis=0)[::-1]  # over [s, p)
+            top = up.accumulate(S[p:0:-1], axis=0)[::-1]  # over (i, p]
+            inner = np.maximum.accumulate(rise(top, S[:p])[::-1], axis=0)[::-1]  # pair in [s, p]
+            cross = rise(high[N - W + 1 : N], before)  # i < p <= j <= s + N
+            np.maximum(best[:p], np.maximum(cross, inner), out=best[:p])
+    return out
 
 
-def _lex_min_box(S: np.ndarray, hits: np.ndarray, peak: int, lo_t, hi_t) -> tuple:
+def _lex_min_box(
+    S: np.ndarray, order: np.ndarray, hits: np.ndarray, peak: int, sign: int, lo_t, hi_t
+) -> tuple:
     """Lex-min (lo, hi, index) among the windows of one chunk flagged in ``hits``.
 
-    ``hits[s, slab, k]`` flags window [s, s+N] of plane k on one slab whose
-    best pair of ``S`` reaches ``peak``.  Each flagged window's prefix sums
-    are gathered; its first left index i reaching ``peak``, then the first
-    right index j with S[j] - S[i] = peak, give the window-relative axis-1
-    range [i+1, j].  The index is k*W + w + 1 with w = W - 1 - s.
+    Row t of the swept prefix sums is ``S[order[t]]``.  ``hits[s, slab, k]``
+    flags window [s, s+N] of plane k on one slab whose best pair of
+    sign * S reaches ``peak``.  Each flagged window's prefix sums are
+    gathered; its first left index i reaching ``peak``, then the first
+    right index j with sign * (S[j] - S[i]) = peak, give the window-relative
+    axis-1 range [i+1, j].  The index is k*W + w + 1 with w = W - 1 - s.
     """
     W = hits.shape[0]
-    span = np.arange(len(S) - W + 1)
+    span = np.arange(len(order) - W + 1)
     s, slab, k = np.nonzero(hits)
     batch = max(1, _CHUNK_ELEMS // len(span))  # bounds the gathered windows
     best = None
     for at in range(0, len(s), batch):
         s_, slab_, k_ = s[at : at + batch], slab[at : at + batch], k[at : at + batch]
-        rows = S[s_[:, None] + span, slab_[:, None], k_[:, None]]
+        rows = S[order[s_[:, None] + span], slab_[:, None], k_[:, None]]
+        if sign < 0:
+            np.negative(rows, out=rows)
         reach = np.maximum.accumulate(rows[:, :0:-1], axis=1)[:, ::-1] - rows[:, :-1]
         i = np.argmax(reach == peak, axis=1)
         base = rows[np.arange(len(i)), i][:, None]
@@ -434,50 +465,99 @@ def _scan_boxes(
     labels: np.ndarray,
     weights: np.ndarray,
     *,
+    extent: int | None = None,
     windows: int = 1,
+    period: int | None = None,
     signs: tuple[int, ...] = (1, -1),
     max_cells: int | None = None,
 ) -> list:
     """Largest box sums of K weight planes in W axis-1 windows, and of their negations.
 
     Plane k gives cell x the integer weight ``weights[k, labels[x]]``, where
-    ``labels`` is an int array of shape (N + W - 1,) + (N,) * (d - 1), N >= W,
-    and ``weights`` a (K, labels) int64 table.  Window w is the N consecutive
-    axis-1 cells that end w cells before the last; a box in it has axis-1
-    corners counted from the window's first cell.  Returns one (peaks, key)
-    per entry of ``signs``: peaks[k*W + w] is the largest box sum of
-    sign * plane k in window w, and key the lex-min (lo, hi, k*W + w + 1)
-    attaining peaks.max(), with 1-based inclusive corners.  The cell budget
-    counts the prefix table, (N + W - 1) * (N + 1)^(d-1) * K cells, and is
-    checked before any allocation.
+    ``labels`` is an int array of shape (P,) + (T,) * (d - 1) and ``weights``
+    a (K, labels) int64 table.  The scanned axis-1 extent has N + W - 1
+    cells (N = ``extent``, default P; N >= W and N + W - 1 >= P), and its
+    cell e (0-based) is row e mod P of ``labels``.  Window w is the N
+    consecutive axis-1 cells that end w cells before the last; a box in it
+    has axis-1 corners counted from the window's first cell.  The trailing
+    ranges ("slabs") are every [lo, hi] within [1, T] on each of axes 2..d,
+    or, with ``period``, only those with lo <= period and
+    hi - lo + 1 <= max(period - 1, 1).  Returns one (peaks, key) per entry of ``signs``: peaks[k*W +
+    w] is the largest box sum of sign * plane k in window w, and key the
+    lex-min (lo, hi, k*W + w + 1) attaining peaks.max(), with 1-based
+    inclusive corners.  The cell budget counts the prefix table,
+    P * (T + 1)^(d-1) * K cells, and is checked before any allocation.
+    The raw-grid, witness and geometric scans use P = T = N, one window
+    and every slab; ``disc_report`` uses the rest for latin colorings.
+
+    (a) One period of rows.  When the extent wraps (N + W - 1 > P), every
+    plane must sum to 0 over the P rows of each axis-1 line; this is
+    checked per chunk.  A slab's line sums g then repeat with period P and
+    sum to 0 over one period, so its prefix sums S(t) = g(0) + .. + g(t-1)
+    satisfy S(t + P) = S(t) + 0: the prefix table holds P rows, and the
+    sweep reads S[t mod P].
+
+    (b) Fewer slabs.  ``period`` promises that every plane is balanced
+    along each trailing axis too: the labels repeat with that period along
+    it, and the weights of ``period`` consecutive cells of any line along
+    it sum to 0.  A range [lo, hi] of length >= period then gives the same
+    line sums as [lo, hi - period], because the cells removed form, for
+    every axis-1 row and every position on the other axes, one run of
+    ``period`` consecutive cells.  A range with lo > period gives the same
+    line sums as [lo - period, hi - period], by the repetition.  Both
+    replacements keep every other range and the window and have a
+    lex-smaller (lo, hi), so repeating them ends at a kept range, or at an
+    empty one whose boxes sum to 0.  Hence every box sum that is not 0 is
+    taken by a box on a kept slab, and the lex-min box attaining a
+    positive peak is on one.  The caller promises that every entry of
+    every sign's peaks is positive, or that period = 1; then every weight
+    is 0, every box ties at 0, and the lex-min box, [1, 1] on every axis,
+    has a kept slab.
+
+    (c) Flat windows.  When the extent wraps and N >= 2P - 2, every window
+    [s, s+N] holds, for any residues a != b mod P, prefix indices i < j
+    with i = a and j = b (mod P): the first i = a from s on is at most
+    s + P - 1, and the first j = b after it at most i + P - 1 <= s + N.
+    Pairs with a = b give S(j) - S(i) = 0, and one exists (i = s, j = s +
+    P when P >= 2, j = s + 1 when P = 1).  So each window's best pair, for
+    either sign, is max S - min S over one period, the same in every
+    window; no sweep runs, and only ties read window rows.
     """
-    L, d, K, W = labels.shape[0], labels.ndim, weights.shape[0], windows
-    N = L - W + 1
+    P, d, K, W = labels.shape[0], labels.ndim, weights.shape[0], windows
+    N, T = (P if extent is None else extent), labels.shape[-1]
     check_axes(d + 1, d)  # the prefix table
     _check_budget(
-        L * (N + 1) ** (d - 1) * K,
-        f"(N+W-1) * (N+1)^(d-1) * planes = {L} * {N + 1}^{d - 1} * {K}",
+        P * (T + 1) ** (d - 1) * K,
+        f"period * (T+1)^(d-1) * planes = {P} * {T + 1}^{d - 1} * {K}",
         max_cells,
     )
+    order = np.arange(N + W)  # swept prefix index t reads prefix row order[t]
+    wrap = N + W - 1 > P
+    if wrap:
+        order %= P
+    flat_windows = wrap and N >= 2 * P - 2
 
     # prefix[x_1, j_2, .., j_d, k]: plane k's weight on row x_1 over the
     # trailing coordinates [1, j_i] (index 0 = none).  Axis 1 comes first so
     # that the sweeps along it run over contiguous (slab, plane) vectors.
-    prefix = np.zeros((L,) + (N + 1,) * (d - 1) + (K,), dtype=np.int64)
+    prefix = np.zeros((P,) + (T + 1,) * (d - 1) + (K,), dtype=np.int64)
     inner = prefix[(slice(None),) + (slice(1, None),) * (d - 1)]
-    for k in range(K):  # plane by plane, so no K * L * N^(d-1) temporary
+    for k in range(K):  # plane by plane, so no K * P * T^(d-1) temporary
         inner[..., k] = weights[k][labels]
     for axis in range(1, d):
         np.cumsum(prefix, axis=axis, out=prefix)
-    prefix = prefix.reshape(L, -1, K)
-    strides = [(N + 1) ** (d - 2 - a) for a in range(d - 1)]
+    prefix = prefix.reshape(P, -1, K)
+    strides = [(T + 1) ** (d - 2 - a) for a in range(d - 1)]
 
-    pair_lo, pair_hi = np.triu_indices(N)  # 0-based lo <= hi, one per axis range
+    pair_lo, pair_hi = np.triu_indices(T)  # 0-based lo <= hi, one per axis range
+    if period is not None:
+        keep = (pair_lo < period) & (pair_hi - pair_lo < max(period - 1, 1))
+        pair_lo, pair_hi = pair_lo[keep], pair_hi[keep]
     pair_lo += 1
     pair_hi += 1
     ranges = len(pair_lo)
     slabs = ranges ** (d - 1)
-    step = max(1, _CHUNK_ELEMS // (K * (L + 1)))
+    step = max(1, _CHUNK_ELEMS // (K * ((P if flat_windows else N + W - 1) + 1)))
 
     tracks = [[np.full(K * W, np.iinfo(np.int64).min, dtype=np.int64), None] for _ in signs]
     for start in range(0, slabs, step):
@@ -499,46 +579,58 @@ def _scan_boxes(
                 lines += term
             else:
                 lines -= term
-        sums = np.zeros((L + 1,) + lines.shape[1:], dtype=np.int64)
+        sums = np.zeros((P + 1,) + lines.shape[1:], dtype=np.int64)
         np.cumsum(lines, axis=0, out=sums[1:])
-        for sign, track in zip(signs, tracks):
-            S = sums if sign > 0 else -sums
-            best = _window_best(S, W)  # (W, slabs, K), window w at row W - 1 - w
+        if wrap and sums[P].any():
+            raise AssertionError("a plane does not sum to 0 over one period of axis-1 rows")
+        if flat_windows:
+            spread = sums[:P].max(axis=0) - sums[:P].min(axis=0)
+            bests = np.broadcast_to(spread, (len(signs), W) + spread.shape)
+        else:  # window w at row W - 1 - w
+            bests = _window_best(sums[order] if wrap else sums, W, signs)
+        for sign, track, best in zip(signs, tracks, bests):
             top = best.max(axis=1)[::-1].T.reshape(-1)
             peak, so_far = int(top.max()), int(track[0].max())
             if peak > so_far:
-                track[1] = _lex_min_box(S, best == peak, peak, lo_t, hi_t)
+                track[1] = _lex_min_box(sums, order, best == peak, peak, sign, lo_t, hi_t)
             elif peak == so_far:  # a tie: only slabs that could still precede the kept key
                 hits = (best == peak) & _may_precede(lo_t, track[1][0], len(rest))[:, None]
                 if hits.any():
-                    track[1] = min(track[1], _lex_min_box(S, hits, peak, lo_t, hi_t))
+                    key = _lex_min_box(sums, order, hits, peak, sign, lo_t, hi_t)
+                    track[1] = min(track[1], key)
             np.maximum(track[0], top, out=track[0])
     return tracks
 
 
 def _scan_input(source, extent: int, M: int | None):
-    """What ``disc_report`` scans: (labels, weights, windows, recount, M, d).
+    """What ``disc_report`` scans: (labels, weights, scan options, recount, M, d).
 
-    A latin coloring at extent >= M becomes one plane, M * [color = 1] - 1,
-    on axis-1 cells e = 1..N+M-1 (real x_1 = e - (M-1)) with M windows;
-    anything else becomes M planes M * [color = c] - 1 on [N]^d.  ``recount``
-    gives a box's per-color counts by a route independent of the scan.
+    A latin coloring at extent N >= M becomes one plane, M * [color = 1] - 1,
+    on one period of axis-1 rows e = 1..M, under M windows of
+    min(N, max(2M - 2, 1)) cells, over trailing extent T = that span if the
+    coloring passes ``verify_latin`` (which also enables the slab cut (b)
+    of ``_scan_boxes``), else T = N.  Anything else becomes M planes
+    M * [color = c] - 1 on [N]^d.  ``recount`` gives a box's per-color
+    counts by a route independent of the scan.
     """
     coloring = source.coloring if isinstance(source, Scheme) else source
     if isinstance(coloring, LatinColoring):
         check_axes(coloring.d + 1, coloring.d)  # the prefix table of ``_scan_boxes``
     if isinstance(coloring, LatinColoring) and extent >= coloring.M:
         M, d = coloring.M, coloring.d
-        resid = np.arange(extent, dtype=np.int64) % M
-        anchors = coloring.anchor_tensor()[np.ix_(*[resid] * (d - 1))] - 1  # (N,)*(d-1)
-        e = np.arange(1, extent + M, dtype=np.int64).reshape((-1,) + (1,) * (d - 1))
-        labels = (e - anchors) % M  # color - 1 of the real cell (e - (M-1), u)
+        span = min(extent, max(2 * M - 2, 1))
+        balanced = verify_latin(coloring).ok
+        resid = np.arange(span if balanced else extent, dtype=np.int64) % M
+        anchors = coloring.anchor_tensor()[np.ix_(*[resid] * (d - 1))] - 1  # (T,)*(d-1)
+        e = np.arange(1, M + 1, dtype=np.int64).reshape((-1,) + (1,) * (d - 1))
+        labels = (e - anchors) % M  # color - 1 of extended cell e, which repeats with period M
         weights = M * (np.arange(M) == 0).astype(np.int64)[None, :] - 1
-        return labels, weights, M, functools.partial(periodic_box_counts, coloring), M, d
+        scan = {"extent": span, "windows": M, "period": M if balanced else None}
+        return labels, weights, scan, functools.partial(periodic_box_counts, coloring), M, d
     grid, M, d = _resolve_grid(source, extent, M)
     colors = np.arange(1, M + 1, dtype=np.int64)
     weights = M * (colors[:, None] == np.arange(M + 1)).astype(np.int64) - 1
-    return grid, weights, 1, lambda box: _box_color_counts(grid, box, M), M, d
+    return grid, weights, {}, lambda box: _box_color_counts(grid, box, M), M, d
 
 
 def disc_report(
@@ -571,16 +663,46 @@ def disc_report(
     vectors, disc, disc+ and both lex-min witnesses (window-relative
     corners are the real corners of color c) therefore come out exactly.
 
+    The plane meets the premises of ``_scan_boxes``' savings:
+
+    (a) Each axis-1 line holds one color-1 cell (weight M - 1) and M - 1
+        other cells (weight -1) in every M consecutive cells, so the
+        extended cells need one period of M rows.
+    (b) A coloring that passes ``verify_latin`` (checked once per
+        coloring) has the same property along every trailing axis, and its
+        peaks are positive when M >= 2: each window of N >= M cells holds
+        a cell of color c (deviation M - 1) and, for M >= 2, one of another
+        color (deviation -1).  M = 1 is the period-1 case.  So only slabs
+        with lo <= M and sides < M are scanned.
+    (c) From N >= 2M - 2 each color's figure is max S - min S of its
+        slab's prefix sums over one period, with no sweep, and the
+        per-color vectors are constant.
+    (d) Clamped extent: the scan runs at N' = min(N, max(2M - 2, 1)) and
+        reports N.  Along axis 1: for N >= 2M - 2 the windows are flat by
+        (c), and the lex-min best pair of a window [s, s+N] starts at the
+        first i >= s with S(i) = min S (i <= s + M - 1, as S has period M)
+        and ends at the first j > i with S(j) = max S (j <= i + M - 1, as
+        S(i + M) = S(i)), with min and max swapped for the negation, or at
+        j = s + 1 when S is constant; so j - s <= max(2M - 2, 1), and a
+        window of N' cells has the same best and the same lex-min axis-1
+        range.  This
+        needs only (a)'s premise, so it holds for every latin coloring.
+        Along axes 2..d, for a coloring that passes ``verify_latin``, the
+        slabs kept by (b) have lo <= M and hi <= lo + M - 2 <= 2M - 2 (or
+        the unit range when M = 1), so the trailing extent is T = N'.  A
+        verified coloring therefore costs the same at N = 10^6 as at
+        2M - 2; one that fails ``verify_latin`` keeps T = N.
+
     Every witness is recounted independently (the grid for M planes, the
     anchor histogram ``periodic_box_counts`` for one plane), its deviations
     must sum to zero, and disc/(M-1) <= disc_plus <= disc is checked.
     """
     start = time.perf_counter()
-    labels, weights, windows, recount, M, d = _scan_input(source, extent, M)
+    labels, weights, scan, recount, M, d = _scan_input(source, extent, M)
     tracks = _scan_boxes(
         labels,
         weights,
-        windows=windows,
+        **scan,
         signs=(1,) if positive_only else (1, -1),
         max_cells=max_cells,
     )
@@ -630,34 +752,6 @@ def disc_report(
 
 # ---------------------------------------------------------------------------
 # Box algebra
-
-
-def fold_box_to_period(box: Box, period: int) -> Box:
-    """Reduce a box of a tiled coloring to an equal-|deviation| box in [period]^d.
-
-    Per axis, whole periods contribute zero deviation, and a wrapped residual
-    segment is replaced by the complement of its gap, which flips only the
-    deviation's sign.  If any axis reduces to nothing, the whole box folds to
-    the canonical empty box.
-    """
-    if period < 1:
-        raise ParameterError(f"period={period} must be >= 1")
-    if box.is_empty:
-        return Box.empty(box.d)
-    lo_out = []
-    hi_out = []
-    for lo, hi in zip(box.lo, box.hi):
-        x = (lo - 1) % period + 1
-        y = (hi - 1) % period + 1
-        if x <= y:
-            seg = (x, y)
-        else:
-            seg = (y + 1, x - 1)  # complement of the wrap gap
-        if seg[0] > seg[1]:
-            return Box.empty(box.d)
-        lo_out.append(seg[0])
-        hi_out.append(seg[1])
-    return Box(lo=tuple(lo_out), hi=tuple(hi_out))
 
 
 def complement_decompose(box: Box, extent: int) -> list[Box]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import itertools
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -312,13 +311,11 @@ def sweep(
             print(f"sweep: skipping M={M} d={d} mode={mode}: {exc}", file=log)
             continue
         N = extent_multiplier * M
-        start = time.perf_counter()
         try:
             report = disc_report(scheme, N, max_cells=max_cells)
         except BudgetExceededError as exc:
             print(f"sweep: skipping M={M} d={d} mode={mode}: {exc}", file=log)
             continue
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             SweepRow(
                 M=M,
@@ -327,7 +324,7 @@ def sweep(
                 mode=mode,
                 disc_num=report.disc.num,
                 disc_plus_num=report.disc_plus.num,
-                runtime_ms=elapsed_ms,
+                runtime_ms=report.elapsed_ms,
             )
         )
     if csv_path is not None:

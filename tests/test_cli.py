@@ -495,6 +495,24 @@ def test_evaluate_frozen_output(cyclic8, tmp_path, capsys):
     assert data["witness"] == {"lo": [1, 1], "hi": [4, 4], "color": 8}
 
 
+def test_evaluate_cost_stops_growing_at_2m_minus_2(cyclic8, tmp_path, capsys, monkeypatch):
+    # a latin scheme is scanned at N = min(N, 2M - 2): at N = 10^6 the
+    # default budget holds, and the report is the N = 14 report but for N
+    monkeypatch.delenv("DECLUSTER_MAX_CELLS", raising=False)
+    reports = {}
+    for extent in (14, 1_000_000):
+        path = tmp_path / f"report{extent}.json"
+        code, _, _ = run(
+            capsys, "evaluate", "--scheme", str(cyclic8), "--extent", str(extent),
+            "--report", str(path),
+        )
+        assert code == 0
+        reports[extent] = json.loads(path.read_text())
+        assert reports[extent].pop("N") == extent
+        reports[extent].pop("elapsed_ms")
+    assert reports[14] == reports[1_000_000]
+
+
 def test_evaluate_positive_only(cyclic8, capsys):
     code, stdout, _ = run(
         capsys, "evaluate", "--scheme", str(cyclic8), "--extent", "8",

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from decluster import discrepancy
-from decluster.coloring import LatinColoring, color_grid, make_baseline
+from decluster.coloring import LatinColoring, color_grid, make_baseline, verify_latin
 from decluster.discrepancy import (
     Box,
     RangeCounter,
@@ -21,7 +21,6 @@ from decluster.discrepancy import (
     complement_decompose,
     disc_report,
     find_positive_witness,
-    fold_box_to_period,
     geometric_discrepancy,
     periodic_box_counts,
     report_to_dict,
@@ -379,10 +378,10 @@ def _report_fields(rep):
     return out
 
 
-def _latin_vs_grid(scheme, N, positive_only):
+def _latin_vs_grid(source, N, positive_only):
     """Report of the one-plane window path and of the M-plane grid path."""
-    latin = disc_report(scheme, N, positive_only=positive_only)
-    grid = disc_report(color_grid(scheme, N), N, M=scheme.M, positive_only=positive_only)
+    latin = disc_report(source, N, positive_only=positive_only)
+    grid = disc_report(color_grid(source, N), N, M=source.M, positive_only=positive_only)
     return _report_fields(latin), _report_fields(grid)
 
 
@@ -405,9 +404,32 @@ def test_latin_window_path_matches_grid_path(mode, d, positive_only, data):
     else:
         scheme = _scheme_or_none(M, d, mode)
         assume(scheme is not None)
-    N = data.draw(st.integers(M, 2 * M + 1), label="N")
+    N = data.draw(st.integers(M, 3 * M + 1), label="N")  # below 2M - 2 and in the flat regime
     latin, grid = _latin_vs_grid(scheme, N, positive_only)
     assert latin == grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=4),
+    positive_only=st.booleans(),
+    data=st.data(),
+)
+def test_axis1_only_balanced_coloring_matches_grid_path(d, positive_only, data):
+    # Every anchor map is balanced along axis 1, so one period of rows and
+    # flat windows still apply; one that fails verify_latin keeps every slab
+    # and the trailing extent N.
+    M = data.draw(st.integers(2, {2: 7, 3: 4, 4: 3}[d]), label="M")
+    anchor = data.draw(st.lists(st.integers(1, M), min_size=M ** (d - 1), max_size=M ** (d - 1)))
+    coloring = LatinColoring(M=M, d=d, anchor=anchor)
+    assume(not verify_latin(coloring).ok)
+    N = data.draw(st.integers(M, 3 * M + 1), label="N")
+    latin, grid = _latin_vs_grid(coloring, N, positive_only)
+    assert latin == grid
+    cells = M * (N + 1) ** (d - 1)
+    table = f"{M} \\* {N + 1}\\^{d - 1} \\* 1 = {cells} cells"
+    with pytest.raises(BudgetExceededError, match=table):
+        disc_report(coloring, N, max_cells=cells - 1)
 
 
 def test_latin_window_ties_across_chunks(monkeypatch):
@@ -424,6 +446,13 @@ def test_latin_window_ties_across_chunks(monkeypatch):
         assert _report_fields(disc_report(scheme, N)) == want
 
 
+def test_scan_refuses_rows_that_do_not_sum_to_zero_over_a_period():
+    # two rows of weight 1 read with period 2 along a 3-cell extent
+    labels = np.zeros((2, 1), dtype=np.int64)
+    with pytest.raises(AssertionError, match="period"):
+        discrepancy._scan_boxes(labels, np.array([[1, -1]]), extent=2, windows=2)
+
+
 def test_latin_path_builds_no_color_grid(monkeypatch):
     def refuse(*args):
         raise AssertionError("color_grid called on the latin path")
@@ -434,6 +463,34 @@ def test_latin_path_builds_no_color_grid(monkeypatch):
 
 
 # -- tiling algebra ---------------------------------------------------------------
+
+
+def fold_box_to_period(box: Box, period: int) -> Box:
+    """Reduce a box of a tiled coloring to an equal-|deviation| box in [period]^d.
+
+    Per axis, whole periods contribute zero deviation, and a wrapped residual
+    segment is replaced by the complement of its gap, which flips only the
+    deviation's sign.  If any axis reduces to nothing, the whole box folds to
+    the canonical empty box.
+    """
+    if period < 1:
+        raise ParameterError(f"period={period} must be >= 1")
+    if box.is_empty:
+        return Box.empty(box.d)
+    lo_out = []
+    hi_out = []
+    for lo, hi in zip(box.lo, box.hi):
+        x = (lo - 1) % period + 1
+        y = (hi - 1) % period + 1
+        if x <= y:
+            seg = (x, y)
+        else:
+            seg = (y + 1, x - 1)  # complement of the wrap gap
+        if seg[0] > seg[1]:
+            return Box.empty(box.d)
+        lo_out.append(seg[0])
+        hi_out.append(seg[1])
+    return Box(lo=tuple(lo_out), hi=tuple(hi_out))
 
 
 def test_fold_examples():
@@ -691,21 +748,23 @@ def test_budget_guard_env_var(monkeypatch):
 
 
 def test_budget_counts_the_cells_the_latin_path_allocates():
-    # one plane, a prefix table of (N + M - 1) * (N + 1)^(d-1) cells, not M planes
+    # one plane over one period of M axis-1 rows and trailing extent
+    # T = min(N, 2M - 2): M * (T + 1)^(d-1) cells, not M planes
     scheme = make_baseline("cyclic", 4, 2)
-    cells = (10 + 4 - 1) * 11
+    cells = 4 * (6 + 1)
     assert disc_report(scheme, 10, max_cells=cells).disc_plus.num > 0
-    with pytest.raises(BudgetExceededError, match=f"13 \\* 11\\^1 \\* 1 = {cells} cells"):
+    with pytest.raises(BudgetExceededError, match=f"4 \\* 7\\^1 \\* 1 = {cells} cells"):
         disc_report(scheme, 10, max_cells=cells - 1)
 
 
 def test_budget_counts_the_prefix_table_at_small_extent():
     # checkerboard M=2, d=12, N=2: N^(d-1) = 2048 would pass a 6144-cell
-    # budget, but the prefix table has 3 * 3^11 = 531 441 cells
+    # budget, but the prefix table has M * (T + 1)^(d-1) = 2 * 3^11 = 354 294 cells
     scheme = make_baseline("checkerboard", 2, 12)
-    for budget in (6144, 531_440):
-        with pytest.raises(BudgetExceededError, match="3 \\* 3\\^11 \\* 1 = 531441 cells"):
+    for budget in (6144, 354_293):
+        with pytest.raises(BudgetExceededError, match="2 \\* 3\\^11 \\* 1 = 354294 cells"):
             disc_report(scheme, 2, max_cells=budget)
+    assert disc_report(scheme, 2, max_cells=354_294).disc_plus == ScaledValue(1, 2)
 
 
 def test_witness_flip_fits_the_scan_budget(monkeypatch):

@@ -1,5 +1,6 @@
 """End-to-end scheme generation, regeneration, and the comparison sweep."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from decluster.coloring import (
     scheme_to_json_bytes,
     verify_latin,
 )
+from decluster import schemegen
 from decluster.errors import ParameterError, SchemeFormatError
 from decluster.schemegen import (
     MODES,
@@ -228,6 +230,17 @@ def test_sweep_rows():
     assert all(isinstance(r, SweepRow) for r in rows)
     assert all(r.disc_num >= r.disc_plus_num >= 0 for r in rows)
     assert all(r.runtime_ms >= 0 for r in rows)
+
+
+def test_sweep_runtime_is_the_report_elapsed_ms(monkeypatch):
+    real = schemegen.disc_report
+
+    def stamped(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), elapsed_ms=123.5)
+
+    monkeypatch.setattr(schemegen, "disc_report", stamped)
+    rows = sweep(dims=[2], disks=[3, 4], modes=["cyclic"])
+    assert [r.runtime_ms for r in rows] == [123.5, 123.5]
 
 
 def test_sweep_extent_multiplier():

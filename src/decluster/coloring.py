@@ -194,7 +194,7 @@ def _check_rows(coloring: LatinColoring) -> LatinCheck:
     M, d = coloring.M, coloring.d
     if d == 1 or M == 1:
         return LatinCheck(ok=True)
-    tensor = coloring.anchor_tensor()
+    tensor = coloring._anchor_array
     want = np.arange(1, M + 1, dtype=np.int64)
     for axis in range(d - 1):  # axis in the anchor tensor = grid axis (axis + 2)
         lines = np.sort(np.moveaxis(tensor, axis, -1), axis=-1)

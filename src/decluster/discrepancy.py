@@ -461,6 +461,15 @@ def _may_precede(lo_t, lo: tuple, slabs: int) -> np.ndarray:
     return below | level
 
 
+def _check_scan_budget(P: int, T: int, d: int, K: int, max_cells: int | None) -> None:
+    """Refuse a ``_scan_boxes`` prefix table of P * (T + 1)^(d-1) * K cells over budget."""
+    _check_budget(
+        P * (T + 1) ** (d - 1) * K,
+        f"period * (T+1)^(d-1) * planes = {P} * {T + 1}^{d - 1} * {K}",
+        max_cells,
+    )
+
+
 def _scan_boxes(
     labels: np.ndarray,
     weights: np.ndarray,
@@ -526,11 +535,7 @@ def _scan_boxes(
     P, d, K, W = labels.shape[0], labels.ndim, weights.shape[0], windows
     N, T = (P if extent is None else extent), labels.shape[-1]
     check_axes(d + 1, d)  # the prefix table
-    _check_budget(
-        P * (T + 1) ** (d - 1) * K,
-        f"period * (T+1)^(d-1) * planes = {P} * {T + 1}^{d - 1} * {K}",
-        max_cells,
-    )
+    _check_scan_budget(P, T, d, K, max_cells)
     order = np.arange(N + W)  # swept prefix index t reads prefix row order[t]
     wrap = N + W - 1 > P
     if wrap:
@@ -602,7 +607,7 @@ def _scan_boxes(
     return tracks
 
 
-def _scan_input(source, extent: int, M: int | None):
+def _scan_input(source, extent: int, M: int | None, max_cells: int | None):
     """What ``disc_report`` scans: (labels, weights, scan options, recount, M, d).
 
     A latin coloring at extent N >= M becomes one plane, M * [color = 1] - 1,
@@ -611,15 +616,17 @@ def _scan_input(source, extent: int, M: int | None):
     coloring passes ``verify_latin`` (which also enables the slab cut (b)
     of ``_scan_boxes``), else T = N.  Anything else becomes M planes
     M * [color = c] - 1 on [N]^d.  ``recount`` gives a box's per-color
-    counts by a route independent of the scan.
+    counts by a route independent of the scan.  Labels and color grids are
+    built only once the larger prefix table fits the cell budget.
     """
     coloring = source.coloring if isinstance(source, Scheme) else source
     if isinstance(coloring, LatinColoring):
-        check_axes(coloring.d + 1, coloring.d)  # the prefix table of ``_scan_boxes``
-    if isinstance(coloring, LatinColoring) and extent >= coloring.M:
         M, d = coloring.M, coloring.d
+        check_axes(d + 1, d)  # the prefix table of ``_scan_boxes``
+    if isinstance(coloring, LatinColoring) and extent >= M:
         span = min(extent, max(2 * M - 2, 1))
         balanced = verify_latin(coloring).ok
+        _check_scan_budget(M, span if balanced else extent, d, 1, max_cells)
         resid = np.arange(span if balanced else extent, dtype=np.int64) % M
         anchors = coloring.anchor_tensor()[np.ix_(*[resid] * (d - 1))] - 1  # (T,)*(d-1)
         e = np.arange(1, M + 1, dtype=np.int64).reshape((-1,) + (1,) * (d - 1))
@@ -627,6 +634,8 @@ def _scan_input(source, extent: int, M: int | None):
         weights = M * (np.arange(M) == 0).astype(np.int64)[None, :] - 1
         scan = {"extent": span, "windows": M, "period": M if balanced else None}
         return labels, weights, scan, functools.partial(periodic_box_counts, coloring), M, d
+    if isinstance(coloring, LatinColoring) and extent >= 1:
+        _check_scan_budget(extent, extent, d, M, max_cells)
     grid, M, d = _resolve_grid(source, extent, M)
     colors = np.arange(1, M + 1, dtype=np.int64)
     weights = M * (colors[:, None] == np.arange(M + 1)).astype(np.int64) - 1
@@ -698,7 +707,7 @@ def disc_report(
     must sum to zero, and disc/(M-1) <= disc_plus <= disc is checked.
     """
     start = time.perf_counter()
-    labels, weights, scan, recount, M, d = _scan_input(source, extent, M)
+    labels, weights, scan, recount, M, d = _scan_input(source, extent, M, max_cells)
     tracks = _scan_boxes(
         labels,
         weights,

@@ -12,14 +12,13 @@ digit-by-digit from coprime prime-power components via the Chinese
 remainder theorem.  Every constructor checks the balance property before
 returning and refuses to hand out a defective point set: generator nets by
 the rank of their matrices (``rank_gate``), residue compositions by counting
-points in every elementary interval (``verify_net``).  A permutation net is
-balanced whenever ``permutation_net`` accepts its permutation.
+points in every elementary interval (``verify_net``).
 
 The scheme path needs only a net's anchor map (which axis-1 cell holds the
-one point on each line).  For a generator net that is the linear map
-A = C_1[:k] B^-1 of ``generator_anchor``, read off the matrices after the
-rank gate, so a prime-power scheme builds no point set; residue
-compositions are built and counted as above.
+one point on each line) and builds no point set: for a generator net it is
+the linear map A = C_1[:k] B^-1 of ``generator_anchor``, read off the
+matrices after the rank gate, and for a residue composition the digitwise
+CRT join of its components' maps (``crt_anchor``).
 """
 
 from __future__ import annotations
@@ -364,20 +363,20 @@ def _invertible_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     return ok
 
 
-def _first_singular_composition(gens: GeneratorSet) -> tuple[int, ...] | None:
+def _first_singular_composition(gens: GeneratorSet, expanded: np.ndarray) -> tuple[int, ...] | None:
     """The first (l_1, ..., l_d) in ``_compositions`` order that the rank criterion refuses.
 
     For each composition of m the first l_j rows of each C_j are stacked
     into one square matrix; ``None`` when every one of them is invertible.
-    The C(m+d-1, d-1) matrices are written over Z_p (``_expanded_matrices``)
-    and eliminated together, a bounded number of bytes at a time.
+    The C(m+d-1, d-1) matrices are written over Z_p (``expanded``) and
+    eliminated together, a bounded number of bytes at a time.
     """
     fld = gens.field
     p, e, m, d = fld.p, fld.e, gens.m, gens.d
     if m == 0:
         return None
     n = m * e
-    rows = _expanded_matrices(gens).reshape(d * n, n)
+    rows = expanded.reshape(d * n, n)
     levels = np.array(list(_compositions(m, d)), dtype=np.int64)  # (k, d)
     # Row s < m of the matrix for one composition is row s - start_j of the
     # C_j whose block [start_j, end_j) holds s; over Z_p it is e rows.
@@ -404,7 +403,7 @@ def rank_gate(gens: GeneratorSet) -> bool:
     ``verify_net(net, 0).ok`` on the net ``net_from_generators`` builds,
     without counting its points.
     """
-    return _first_singular_composition(gens) is None
+    return _first_singular_composition(gens, _expanded_matrices(gens)) is None
 
 
 def base_exponent(M: int, b: int) -> int:
@@ -463,13 +462,14 @@ def generator_anchor(gens: GeneratorSet, M: int) -> np.ndarray:
         raise ParameterError(
             f"point set has m={m} digits per coordinate, need k*(d-1) = {k * (d - 1)}"
         )
-    levels = _first_singular_composition(gens)
+    expanded = _expanded_matrices(gens)
+    levels = _first_singular_composition(gens, expanded)
     if levels is not None:
         raise NetConstructionError(
             f"generator matrices over GF({q}) fail the rank criterion: the first "
             f"l_j rows of each C_j for (l_1..l_d) = {levels} are linearly dependent"
         )
-    lead = _expanded_matrices(gens)[:, : k * e]  # first k rows of each C_j over Z_p
+    lead = expanded[:, : k * e]  # first k rows of each C_j over Z_p
     A = _right_divide_mod_p(lead[0], lead[1:].reshape(m * e, m * e), p)  # (k e, m e)
     coeffs = np.arange(q)[:, None] // p ** np.arange(e) % p  # (q, e): y -> coefficients
     # contrib[o, j, y]: what digit j = y adds to output coefficient o, mod p;
@@ -488,6 +488,39 @@ def generator_anchor(gens: GeneratorSet, M: int) -> np.ndarray:
         total %= p
         anchor += np.multiply(total, weight, dtype=np.int64)
     return anchor
+
+
+def crt_anchor(components: Sequence[GeneratorSet], M: int) -> np.ndarray:
+    """The anchor map of ``crt_compose`` of generator nets, read off their matrices.
+
+    For pairwise coprime orders q_i, b = prod q_i and M = b^k: a composed
+    point's base-b digits are the digitwise CRT join of its components'.
+    So on the line whose first k digits of x_2..x_d are y, component i's
+    point is on the line y mod q_i (digitwise), and the anchor's digits are
+    sum_i w_i * digit_i mod b over the components' anchor digits there
+    (``generator_anchor``).  The composition of (0, m, d)-nets in coprime
+    bases is a (0, m, d)-net (Niederreiter 1987, Monatsh. Math. 104), so
+    no point is built or counted.  The components must share d.  Returns
+    the flat 1-based int64 anchor array; raises ParameterError on orders
+    that are not pairwise coprime or M not a power of b, and a refused
+    component's NetConstructionError, which names its GF(q_i).
+    """
+    bases = [gens.field.q for gens in components]
+    weights = _crt_weights(bases)
+    b, d = math.prod(bases), components[0].d
+    k = base_exponent(M, b)
+    if len(components) == 1:
+        return generator_anchor(components[0], M)
+    n, powers = k * (d - 1), np.arange(k - 1, -1, -1)
+    joined = np.zeros((b**n, k), dtype=np.int64)  # digits of x_1, most significant first
+    for gens, q, weight in zip(components, bases, weights):
+        local = generator_anchor(gens, q**k) - 1
+        share = local[:, None] // q**powers % q * weight  # by component line rank
+        rank = np.zeros(1, dtype=np.int64)
+        for place in range(n):  # least significant digit first, each new digit the slowest axis
+            rank = np.add.outer(np.arange(b) % q * q**place, rank).reshape(-1)
+        joined += share[rank]
+    return (joined % b) @ b**powers + 1
 
 
 def net_from_generators(gens: GeneratorSet) -> DigitalNet:
@@ -530,6 +563,14 @@ def net_from_generators(gens: GeneratorSet) -> DigitalNet:
     )
 
 
+def _crt_weights(bases: Sequence[int]) -> list[int]:
+    """The w_i with v = sum((v mod q_i) * w_i) mod b, for pairwise coprime q_i and b = prod q_i."""
+    b = math.prod(bases)
+    if math.lcm(*bases) != b:
+        raise ParameterError(f"component bases {bases} are not pairwise coprime")
+    return [b // q * pow(b // q, -1, q) for q in bases]
+
+
 def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
     """Assemble a base-b point set from coprime prime-power components.
 
@@ -549,18 +590,9 @@ def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
     prod = math.prod(bases)
     if prod != b:
         raise ParameterError(f"component bases {bases} multiply to {prod}, not {b}")
-    for i, bi in enumerate(bases):
-        for bj in bases[i + 1 :]:
-            if math.gcd(bi, bj) != 1:
-                raise ParameterError(f"component bases {bases} are not pairwise coprime")
+    weights = _crt_weights(bases)
     if len(components) == 1:
         return components[0]
-
-    # CRT recombination weights: v = sum(residue_i * w_i) mod b
-    weights = []
-    for qi in bases:
-        rest = b // qi
-        weights.append(rest * pow(rest, -1, qi))
 
     n = b**m
     ks = np.arange(n, dtype=np.int64)
@@ -588,21 +620,6 @@ def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
             expected=check.expected_points,
         )
     return net
-
-
-def permutation_net(perm: Sequence[int], b: int) -> DigitalNet:
-    """Two-dimensional one-digit point set {(i/b, perm[i]/b)}; perm is 0-based."""
-    perm = [int(v) for v in perm]
-    if sorted(perm) != list(range(b)):
-        raise ParameterError(f"perm must be a permutation of 0..{b - 1}")
-    digits = np.zeros((b, 2, 1), dtype=np.int64)
-    digits[:, 0, 0] = np.arange(b)
-    digits[:, 1, 0] = perm
-    return DigitalNet(
-        params=NetParams(b=b, m=1, d=2, t=0),
-        digits=digits,
-        provenance={"kind": "permutation", "perm": perm},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -712,17 +729,15 @@ def check_net_provenance(record, b: int, m: int, d: int) -> None:
                 or not all(type(cb) is int and cb >= 2 for cb in bases)
                 or math.prod(bases) != b):
             raise SchemeFormatError(f"provenance crt bases {bases!r} do not multiply to {b}")
+        if math.lcm(*bases) != b:
+            raise SchemeFormatError(f"provenance crt bases {bases!r} are not pairwise coprime")
         for component, cb in zip(components, bases):
+            if component.get("kind") != "generators":
+                raise SchemeFormatError(
+                    f"provenance crt component of kind {component.get('kind')!r} is not a "
+                    "generators record"
+                )
             check_net_provenance(component, cb, m, d)
-    elif kind == "permutation":
-        perm = record.get("perm")
-        if not _int_lists(perm, 1):
-            raise SchemeFormatError("provenance permutation record needs an integer 'perm' list")
-        if len(perm) != b or (m, d) != (1, 2):
-            raise SchemeFormatError(
-                f"provenance permutation of {len(perm)} entries is not a base-{b}, "
-                f"m={m}, d={d} net"
-            )
     else:
         raise SchemeFormatError(f"cannot regenerate a net from provenance kind {kind!r}")
 
@@ -733,18 +748,3 @@ def generators_from_dict(record: dict) -> GeneratorSet:
     mats = tuple(tuple(tuple(int(v) for v in row) for row in mat) for mat in record["matrices"])
     m = len(mats[0]) if mats else 0
     return GeneratorSet(field=fld, m=m, d=len(mats), matrices=mats)
-
-
-def regenerate_net(provenance: dict) -> DigitalNet:
-    """Rebuild a point set from its own provenance record."""
-    kind = provenance.get("kind")
-    if kind == "generators":
-        return net_from_generators(generators_from_dict(provenance))
-    if kind == "crt":
-        comps = [regenerate_net(c) for c in provenance["components"]]
-        b = math.prod(c.params.b for c in comps)
-        return crt_compose(comps, b)
-    if kind == "permutation":
-        perm = provenance["perm"]
-        return permutation_net(perm, len(perm))
-    raise SchemeFormatError(f"cannot regenerate a net from provenance kind {kind!r}")

@@ -3,11 +3,10 @@
 ``generate_scheme`` is the front door: it factors the disk count, checks
 the dimensional precondition, reads the latin coloring off the digital
 net, and packages everything with provenance that is sufficient to rebuild
-the scheme bit for bit.  A net over a prime-power base builds no points:
-its rank gate runs and its anchor map is read off the generator matrices
-as one k-by-m linear map (``nets.generator_anchor``).  A composite base
-still builds the residue composition of its prime-power nets, which counts
-its points, and reads the anchor map off those points.
+the scheme bit for bit.  No scheme builds a point set, on ``generate`` or
+``verify``: each prime-power factor of the base is gated by rank and its
+anchor map read off its generator matrices (``nets.generator_anchor``), and
+a composite base joins those maps digitwise by CRT (``nets.crt_anchor``).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .coloring import (
     DEGENERATE_TWO_DIM,
     LatinColoring,
     Scheme,
-    coloring_from_net,
     make_baseline,
     verify_latin,
 )
@@ -40,12 +38,11 @@ from .nets import (
     DigitalNet,
     GeneratorSet,
     check_net_provenance,
+    crt_anchor,
     crt_compose,
-    generator_anchor,
     generators_from_dict,
     net_from_generators,
     pascal_power_generators,
-    regenerate_net,
 )
 
 MODES = ("paper", "smallbase", "cyclic", "random", "checkerboard")
@@ -84,6 +81,16 @@ def factorize_canonical(M: int) -> Factorization:
     return Factorization(M=M, factors=tuple(sorted(factors)))
 
 
+def _pascal_components(b: int, m: int, d: int) -> list[GeneratorSet]:
+    """Pascal generator matrices over GF(q) for each prime-power factor q of b."""
+    fac = factorize_canonical(b)
+    if d > fac.q1 + 1:
+        raise ParameterError(
+            f"d={d} > q1+1={fac.q1 + 1} for base {b} (prime-power factors {fac.factors})"
+        )
+    return [pascal_power_generators(q, d, m) for q in fac.factors]
+
+
 def build_net(b: int, m: int, d: int) -> DigitalNet:
     """Balanced base-b net: per-prime-power generator nets joined by residues.
 
@@ -91,24 +98,16 @@ def build_net(b: int, m: int, d: int) -> DigitalNet:
     GF(q); the digitwise residue bijection assembles them into one base-b
     point set, which is balance-checked before it is returned.
     """
-    fac = factorize_canonical(b)
-    if d > fac.q1 + 1:
-        raise ParameterError(
-            f"d={d} > q1+1={fac.q1 + 1} for base {b} (prime-power factors {fac.factors})"
-        )
-    components = [
-        net_from_generators(pascal_power_generators(q, d, m)) for q in fac.factors
-    ]
-    return crt_compose(components, b)
+    return crt_compose([net_from_generators(g) for g in _pascal_components(b, m, d)], b)
 
 
-def _coloring_from_generators(gens: GeneratorSet, M: int) -> LatinColoring:
-    """The latin coloring of a prime-power generator net, without its points.
+def _coloring_from_generators(components: Sequence[GeneratorSet], M: int) -> LatinColoring:
+    """The latin coloring of a residue composition of generator nets, without its points.
 
-    ``generator_anchor`` gates the matrices by rank and reads the anchor map
-    off them; ``verify_latin`` then checks the result independently.
+    ``crt_anchor`` gates and joins the components' anchor maps;
+    ``verify_latin`` then checks the result independently.
     """
-    coloring = LatinColoring(M=M, d=gens.d, anchor=generator_anchor(gens, M))
+    coloring = LatinColoring(M=M, d=components[0].d, anchor=crt_anchor(components, M))
     check = verify_latin(coloring)
     if not check.ok:
         raise InvalidNetError(
@@ -174,21 +173,16 @@ def generate_scheme(
     if M == 2:
         return make_baseline("checkerboard", M, d)
     if mode == "paper":
-        fac = factorize_canonical(M)
-        if d > fac.q1 + 1:
-            raise ParameterError(f"d={d} > q1+1={fac.q1 + 1} for M={M}")
         base, m = M, d - 1
     else:
         base, k = _smallbase_parameters(M, d)
         m = k * (d - 1)
-    if prime_power_decompose(base) is not None:
-        gens = pascal_power_generators(base, d, m)
-        coloring = _coloring_from_generators(gens, M)
-        record = gens.as_dict()
-    else:
-        net = build_net(base, m, d)
-        coloring = coloring_from_net(net, M)
-        record = net.provenance
+    components = _pascal_components(base, m, d)
+    coloring = _coloring_from_generators(components, M)
+    record = components[0].as_dict()
+    if len(components) > 1:
+        parts = [{"b": gens.field.q, **gens.as_dict()} for gens in components]
+        record = {"kind": "crt", "components": parts}
     warnings = (DEGENERATE_TWO_DIM,) if m == 1 else ()
     provenance = {"kind": "net", "base": base, "m": m, "net": record}
     return Scheme(coloring=coloring, mode=mode, provenance=provenance, warnings=warnings)
@@ -229,22 +223,19 @@ def regenerate_scheme(scheme: Scheme) -> Scheme:
     """Rebuild a scheme purely from its mode and provenance record.
 
     Used by the verifier: the rebuilt anchor map must match the stored one.
-    The record's shape is checked first (``_check_provenance``).  A
-    generator record is rebuilt as ``generate_scheme`` builds it, from the
-    matrices and without points, once M is known to be a power of its base;
-    a residue record rebuilds its point set, whose constructors check the
-    balance.  Either way the net is refused (NetConstructionError) when it
-    is not balanced.
+    The record's shape is checked first (``_check_provenance``).  A net
+    record, one generator set or a residue composition of them, is rebuilt
+    as ``generate_scheme`` builds it, from the matrices and without points,
+    once M is known to be a power of its base; the net is refused
+    (NetConstructionError) when a component fails the rank criterion.
     """
     _check_provenance(scheme)
     M, d = scheme.M, scheme.d
     prov = scheme.provenance
     if prov.get("kind") == "net":
         record = prov["net"]
-        if record["kind"] == "generators":
-            coloring = _coloring_from_generators(generators_from_dict(record), M)
-        else:
-            coloring = coloring_from_net(regenerate_net(record), M)
+        parts = record["components"] if record["kind"] == "crt" else [record]
+        coloring = _coloring_from_generators([generators_from_dict(c) for c in parts], M)
         return Scheme(
             coloring=coloring,
             mode=scheme.mode,

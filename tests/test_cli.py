@@ -162,19 +162,24 @@ def _refuse_point_sets(monkeypatch):
 
     for module in (decluster.nets, decluster.schemegen):
         monkeypatch.setattr(module, "net_from_generators", refuse)
+        monkeypatch.setattr(module, "crt_compose", refuse)
     for module in (decluster.coloring, decluster.schemegen):
-        monkeypatch.setattr(module, "coloring_from_net", refuse)
+        # schemegen does not import it; raising=False still catches a later import
+        monkeypatch.setattr(module, "coloring_from_net", refuse, raising=False)
     monkeypatch.setattr(decluster.nets, "DigitalNet", refuse)
 
 
 @pytest.mark.parametrize(
     "M, d, mode",
     [(9, 3, "paper"), (8, 3, "paper"), (25, 2, "paper"), (16, 5, "paper"), (49, 3, "paper"),
-     (16, 3, "smallbase"), (27, 4, "smallbase"), (64, 2, "smallbase"), (125, 3, "smallbase")],
+     (16, 3, "smallbase"), (27, 4, "smallbase"), (64, 2, "smallbase"), (125, 3, "smallbase"),
+     (6, 3, "paper"), (12, 3, "paper"), (39, 3, "paper"), (60, 3, "paper"), (60, 4, "paper"),
+     (210, 2, "paper")],
 )
 def test_generate_and_verify_count_no_points(tmp_path, capsys, monkeypatch, M, d, mode):
-    # A prime-power net is gated by rank and its anchor map read off the
-    # generator matrices: no point set is built, let alone counted.
+    # Every prime-power component is gated by rank and its anchor map read
+    # off its generator matrices, and a composite base joins those maps by
+    # CRT: no point set is built, let alone counted.
     def refuse(*args, **kwargs):
         raise AssertionError("verify_net ran on the design path")
 
@@ -405,9 +410,22 @@ def test_verify_refuses_oversized_provenance_before_building(
             "b": 9, "kind": "generators", "field": {"p": 3, "e": 2, "modulus": [1, 0, 1]},
             "matrices": [[[1, 0], [0, 1]]] * 3,
         }),
+        (("provenance", "net", "components", 1), {"b": 3, "kind": "crt", "components": [
+            {"b": 3, "kind": "generators", "field": {"p": 3, "e": 1, "modulus": [0, 1]},
+             "matrices": [[[1, 0], [0, 1]]] * 3},
+        ]}),
+        # 36^1 = 6^2 points from components 2 * 2 * 9, each a valid record
+        (("provenance",), {"kind": "net", "base": 36, "m": 1, "net": {"kind": "crt", "components": [
+            {"b": 2, "kind": "generators", "field": {"p": 2, "e": 1, "modulus": [0, 1]},
+             "matrices": [[[1]]] * 3},
+            {"b": 2, "kind": "generators", "field": {"p": 2, "e": 1, "modulus": [0, 1]},
+             "matrices": [[[1]]] * 3},
+            {"b": 9, "kind": "generators", "field": {"p": 3, "e": 2, "modulus": [1, 0, 1]},
+             "matrices": [[[1]]] * 3},
+        ]}}),
     ],
     ids=["m", "base", "crt-b", "field-order", "entry-out-of-field", "two-matrices-in-d3",
-         "crt-bases-multiply-to-18"],
+         "crt-bases-multiply-to-18", "nested-crt-component", "crt-bases-not-coprime"],
 )
 def test_verify_refuses_provenance_sizes_that_disagree(tmp_path, capsys, monkeypatch, path, value):
     out = tmp_path / "scheme.json"

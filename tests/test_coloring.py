@@ -29,13 +29,13 @@ from decluster.nets import (
     DigitalNet,
     net_from_generators,
     pascal_power_generators,
-    permutation_net,
 )
 from oracles import naive_latin_ok
 
 
 def identity_net(b):
-    return permutation_net(list(range(b)), b)
+    """The one-digit two-dimensional net {(i/b, i/b)}."""
+    return DigitalNet.from_digit_lists(b, [[[i], [i]] for i in range(b)])
 
 
 # -- coloring_from_net -------------------------------------------------------

@@ -767,6 +767,23 @@ def test_budget_counts_the_prefix_table_at_small_extent():
     assert disc_report(scheme, 2, max_cells=354_294).disc_plus == ScaledValue(1, 2)
 
 
+def test_budget_is_checked_before_the_scan_input_is_built(monkeypatch):
+    # An anchor map that fails verify_latin is scanned at T = N: at N = 4e6
+    # its labels alone have 8e6 cells.  verify_latin reads the coloring's own
+    # array; everything extent-sized waits for the budget.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the scan input before checking the budget")
+
+    monkeypatch.setattr(discrepancy, "color_grid", refuse)
+    monkeypatch.setattr(LatinColoring, "anchor_tensor", refuse)
+    unbalanced = LatinColoring(M=2, d=2, anchor=(1, 1))
+    with pytest.raises(BudgetExceededError, match="2 \\* 4000001\\^1 \\* 1 = 8000002 cells"):
+        disc_report(unbalanced, 4_000_000, max_cells=100)
+    # below M the N^d color grid waits for the budget of its M-plane scan too
+    with pytest.raises(BudgetExceededError, match="2000 \\* 2001\\^1 \\* 3000"):
+        disc_report(make_baseline("cyclic", 3000, 2), 2000, max_cells=100)
+
+
 def test_witness_flip_fits_the_scan_budget(monkeypatch):
     # this certificate comes from the complement flip; its pieces are
     # recounted from the scanned grid, so the scan's own budget is enough

@@ -17,6 +17,7 @@ from decluster.nets import (
     ElementaryInterval,
     GeneratorSet,
     NetParams,
+    crt_anchor,
     crt_compose,
     enumerate_elementary_intervals,
     generator_anchor,
@@ -25,13 +26,16 @@ from decluster.nets import (
     net_from_generators,
     net_to_dict,
     pascal_power_generators,
-    permutation_net,
     rank_gate,
-    regenerate_net,
     save_net,
     verify_net,
 )
 from oracles import naive_net_check
+
+
+def permutation_net(perm):
+    """The one-digit two-dimensional net {(i/b, perm[i]/b)}, b = len(perm)."""
+    return DigitalNet.from_digit_lists(len(perm), [[[i], [v]] for i, v in enumerate(perm)])
 
 
 # -- generator matrices ------------------------------------------------------
@@ -171,7 +175,7 @@ def test_verify_net_passes_and_counts():
 
 
 def test_verify_identity_permutation_base4():
-    net = permutation_net([0, 1, 2, 3], 4)
+    net = permutation_net([0, 1, 2, 3])
     assert verify_net(net, 0).ok
 
 
@@ -193,7 +197,7 @@ def test_verify_general_t():
     assert verify_net(net, 1).ok  # s = m - t intervals hold b points
     assert verify_net(net, 2).ok  # vacuous: the unit cube holds all 4
 
-    skew = permutation_net([1, 0, 2], 3)
+    skew = permutation_net([1, 0, 2])
     assert verify_net(skew, 0).ok
     assert verify_net(skew, t=None).t == 0  # default: strictest
 
@@ -221,8 +225,8 @@ def test_verify_first_violation_is_lexicographically_first():
 
 
 def test_crt_recombination_example():
-    c2 = permutation_net([1, 0], 2)
-    c3 = permutation_net([2, 0, 1], 3)
+    c2 = permutation_net([1, 0])
+    c3 = permutation_net([2, 0, 1])
     net = crt_compose([c2, c3], 6)
     assert net.params.b == 6
     # index digit 1 maps to residues (1 mod 2, 1 mod 3): components send
@@ -239,8 +243,8 @@ def test_crt_weights_against_classic_example():
 
 
 def test_crt_identity_components_give_identity():
-    c2 = permutation_net([0, 1], 2)
-    c3 = permutation_net([0, 1, 2], 3)
+    c2 = permutation_net([0, 1])
+    c3 = permutation_net([0, 1, 2])
     net = crt_compose([c2, c3], 6)
     for k in range(6):
         assert net.point_value(k)[1] == Fraction(k, 6)
@@ -263,9 +267,9 @@ def test_crt_composed_net_is_balanced():
 
 
 def test_crt_rejects_bad_inputs():
-    c2 = permutation_net([0, 1], 2)
-    c3 = permutation_net([0, 1, 2], 3)
-    c4 = permutation_net([0, 1, 2, 3], 4)
+    c2 = permutation_net([0, 1])
+    c3 = permutation_net([0, 1, 2])
+    c4 = permutation_net([0, 1, 2, 3])
     with pytest.raises(ParameterError, match="coprime"):
         crt_compose([c2, c4], 8)
     with pytest.raises(ParameterError, match="multiply"):
@@ -376,6 +380,49 @@ def test_generator_anchor_matches_the_point_set(case):
     assert anchor.tolist() == list(coloring_from_net(net, M).anchor)
 
 
+def _smallest_prime(q):
+    return next(p for p in range(2, q + 1) if q % p == 0)
+
+
+@st.composite
+def composite_anchor_cases(draw):
+    """(components, M): 2-3 pairwise coprime prime-power orders q_i <= 27 sharing
+    d >= 2 and m = k(d-1), M = b^k for b = prod q_i, at most 10^5 points in base b."""
+    qs = draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]),
+                       min_size=2, max_size=3, unique_by=_smallest_prime))
+    b = math.prod(qs)
+    d = draw(st.integers(2, max(d for d in range(2, min(min(qs) + 1, 4) + 1)
+                                if b ** (d - 1) <= 100_000)))
+    k = draw(st.integers(1, max(k for k in range(1, 3) if b ** (k * (d - 1)) <= 100_000)))
+    return [_draw_matrices(draw, q, d, k * (d - 1)) for q in qs], b**k
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=composite_anchor_cases())
+def test_crt_anchor_matches_the_composed_point_set(case):
+    components, M = case
+    singular = [gens.field.q for gens in components if not rank_gate(gens)]
+    if singular:
+        with pytest.raises(NetConstructionError,
+                           match=rf"over GF\({singular[0]}\) fail the rank criterion"):
+            crt_anchor(components, M)
+        return
+    b = math.prod(gens.field.q for gens in components)
+    net = crt_compose([net_from_generators(gens) for gens in components], b)
+    anchor = crt_anchor(components, M)
+    assert anchor.dtype == np.int64
+    assert anchor.tolist() == list(coloring_from_net(net, M).anchor)
+
+
+def test_crt_anchor_checks_its_components():
+    two, four, three = (pascal_power_generators(q, 3, 2) for q in (2, 4, 3))
+    with pytest.raises(ParameterError, match="coprime"):
+        crt_anchor([two, four], 8)
+    with pytest.raises(ParameterError, match="M=12 is not a positive power"):
+        crt_anchor([two, three], 12)
+    assert crt_anchor([three], 3).tolist() == generator_anchor(three, 3).tolist()
+
+
 @pytest.mark.parametrize("q, m", [(7, 6), (343, 2)])
 def test_generator_anchor_weights_do_not_wrap(q, m):
     # M = 343, d = 3 in smallbase (base 7, weight 49 on digit sums up to 6)
@@ -439,20 +486,6 @@ def test_net_dict_rejects_garbage():
     broken = dict(data, points=data["points"][:-1])
     with pytest.raises(SchemeFormatError):
         net_from_dict(broken)
-
-
-def test_regenerate_net_from_provenance():
-    for maker in (
-        lambda: net_from_generators(pascal_power_generators(4, 3, 2)),
-        lambda: crt_compose(
-            [net_from_generators(pascal_power_generators(q, 2, 2)) for q in (2, 5)],
-            10,
-        ),
-        lambda: permutation_net([2, 0, 1], 3),
-    ):
-        net = maker()
-        again = regenerate_net(net.provenance)
-        assert np.array_equal(again.digits, net.digits)
 
 
 def test_net_params_validation():

@@ -168,9 +168,13 @@ def test_paper_extension_fields_above_256_are_pinned(M, digest):
         (27, 4, "smallbase", None, "4b62199e93a9ce191692753d5bb4e35482ed666af085664e97d2c3cf9c894a61"),
         (256, 3, "cyclic", None, "6c731dacd36363586a131ed14e3c6aff2a8e0c4189144a7cfe201a148d2740ed"),
         (256, 3, "random", 5, "528bd854386b9d0168537c561c3086537e62796b65aba6327d2ff44a51dc1da0"),
+        (39, 3, "paper", None, "43b79ff8f2603c70ec4183797d2b94b65866c512bc1550d88120d8d7ddcaefbf"),
+        (60, 3, "paper", None, "ac70603579e580ad9705ae377375a9d8722c9ab491906ca86897dfc1b97a05f7"),
+        (210, 2, "paper", None, "4d53cbbd04be725946a2c3651ff7010fe0b9592d617b2ca87e628a1867819e14"),
+        (420, 2, "paper", None, "bbcd4a4fdd8e4b3d79f2d2f5377ed1e0ac7075af4877bf334611b63b4ee7921c"),
     ],
     ids=["smallbase-256-d3", "smallbase-343-d3", "smallbase-27-d4", "cyclic-256-d3",
-         "random-256-d3-seed5"],
+         "random-256-d3-seed5", "paper-39-d3", "paper-60-d3", "paper-210-d2", "paper-420-d2"],
 )
 def test_scheme_bytes_are_pinned(M, d, mode, seed, digest):
     scheme = generate_scheme(M, d, mode, seed=seed)

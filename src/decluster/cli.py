@@ -74,7 +74,7 @@ def cmd_verify(args) -> int:
     except DeclusterError as exc:
         print(f"FAIL: provenance does not regenerate: {exc}")
         return 1
-    if rebuilt.coloring.anchor != scheme.coloring.anchor:
+    if rebuilt.coloring != scheme.coloring:  # M, d and the anchor arrays
         print("FAIL: provenance regenerates a different anchor map")
         return 1
     if scheme.provenance.get("kind") == "net":

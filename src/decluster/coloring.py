@@ -12,9 +12,13 @@ Blocks of a larger grid [N]^d are colored by reducing each coordinate
 mod M into [M]^d, i.e. the base pattern tiles the whole grid.
 
 The anchor map is held as one read-only int64 array, checked once when the
-coloring is made; constructors build it with whole-array numpy operations
-and the scheme writer prints it with one join, so no step of making,
-checking or saving a coloring loops in Python over its M^(d-1) entries.
+coloring is made, and the package reads only that array; the tuple of
+Python ints that ``LatinColoring.anchor`` offers is built on first read.
+Constructors build the array with whole-array numpy operations, the scheme
+writer prints it from a matrix of ASCII digits, and the reader parses the
+anchor list of a file in the writer's layout from its bytes.  So making,
+checking and saving a coloring, and loading a long one, make no Python
+object per anchor entry.
 """
 
 from __future__ import annotations
@@ -47,29 +51,31 @@ def check_axes(axes: int, d: int) -> None:
         )
 
 
-@dataclass(frozen=True)
 class LatinColoring:
     """Anchor-map representation of a coloring of [M]^d with M colors.
 
-    ``anchor`` is a flat tuple of length M^(d-1), row-major in
+    The anchor map is a flat sequence of length M^(d-1), row-major in
     (x_2, ..., x_d): the entry for u is at index
     sum((u_i - 1) * M**(d - 1 - i)).  All coordinates and colors are
     1-indexed.  It may be passed as any flat sequence or array of integers;
-    it is converted once to a read-only int64 array (see ``anchor_tensor``),
-    checked there, and kept as a tuple of Python ints.
+    it is converted once to a read-only int64 array and checked there (a
+    read-only int64 array that owns its memory is kept as it is).  That
+    array is the only form the coloring stores and the only one the package
+    reads (``anchor_tensor`` is a view of it).  ``anchor``, the same values
+    as a tuple of Python ints, is built on first read and cached.
+
+    Colorings are immutable, and two are equal when M, d and the anchor
+    values are.
     """
 
-    M: int
-    d: int
-    anchor: tuple[int, ...]
-    _flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ParameterError(f"M={self.M} must be >= 1")
-        if self.d < 1:
-            raise ParameterError(f"d={self.d} must be >= 1")
-        raw = self.anchor
+    def __init__(self, M: int, d: int, anchor):
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "d", d)
+        if M < 1:
+            raise ParameterError(f"M={M} must be >= 1")
+        if d < 1:
+            raise ParameterError(f"d={d} must be >= 1")
+        raw = anchor
         # numpy reads True as 1 inside a list of ints, so refuse bools first
         if isinstance(raw, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, raw)):
             raise ParameterError("anchor entries must be integers, got a boolean")
@@ -81,16 +87,40 @@ class LatinColoring:
             raise ParameterError(f"anchor must be a flat list of integers, got {raw.ndim} axes")
         if not self._size_is(len(raw)):
             raise ParameterError(
-                f"anchor has {len(raw)} entries, expected M^(d-1) with M={self.M}, d={self.d}"
+                f"anchor has {len(raw)} entries, expected M^(d-1) with M={M}, d={d}"
             )
         if raw.dtype.kind not in "iu":
             raise ParameterError(f"anchor entries must be integers, got {raw.dtype} values")
-        if int(raw.min()) < 1 or int(raw.max()) > min(self.M, np.iinfo(np.int64).max):
-            raise ParameterError(f"anchor values must lie in [1, {self.M}]")
-        flat = raw.astype(np.int64)
-        flat.flags.writeable = False
+        if int(raw.min()) < 1 or int(raw.max()) > min(M, np.iinfo(np.int64).max):
+            raise ParameterError(f"anchor values must lie in [1, {M}]")
+        if raw.dtype == np.int64 and raw.flags.owndata and not raw.flags.writeable:
+            flat = raw  # read-only and owning its memory: no view of it can write
+        else:
+            flat = raw.astype(np.int64)
+            flat.flags.writeable = False
         object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "anchor", tuple(flat.tolist()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LatinColoring is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LatinColoring is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, LatinColoring):
+            return NotImplemented
+        return (self.M, self.d) == (other.M, other.d) and np.array_equal(self._flat, other._flat)
+
+    def __hash__(self):
+        return hash((self.M, self.d, self._flat.tobytes()))
+
+    def __repr__(self):
+        return f"LatinColoring(M={self.M}, d={self.d}, anchor={self._flat!r})"
+
+    @functools.cached_property
+    def anchor(self) -> tuple[int, ...]:
+        """The anchor map as a tuple of Python ints, built on first read."""
+        return tuple(self._flat.tolist())
 
     def _size_is(self, n: int) -> bool:
         """Whether n == M^(d-1), without forming a huge power for a huge d."""
@@ -106,7 +136,7 @@ class LatinColoring:
             if not 1 <= v <= self.M:
                 raise ParameterError(f"coordinate {v} outside [1, {self.M}]")
             rank = rank * self.M + (v - 1)
-        return self.anchor[rank]
+        return int(self._flat[rank])
 
     def color_of(self, cell: Sequence[int]) -> int:
         """Color of a cell of [M]^d (all coordinates in [1, M])."""
@@ -366,7 +396,7 @@ def color_grid(source, extent: int) -> np.ndarray:
     M, d = coloring.M, coloring.d
     resid = np.arange(extent, dtype=np.int64) % M  # 0-based residues of 1..N
     if d == 1:
-        anchor0 = coloring.anchor[0] - 1
+        anchor0 = coloring._flat[0] - 1
         return ((resid - anchor0) % M + 1).astype(np.int64)
     check_axes(d, d)  # the grid
     tensor = coloring.anchor_tensor()  # (M,)*(d-1)
@@ -379,16 +409,21 @@ def color_grid(source, extent: int) -> np.ndarray:
 # Serialization
 
 
-def scheme_to_dict(scheme: Scheme) -> dict:
+def _document(scheme: Scheme, anchor) -> dict:
+    """The scheme document, with ``anchor`` as the value of its "anchor" key."""
     return {
         "version": SCHEME_FORMAT_VERSION,
         "M": scheme.M,
         "d": scheme.d,
         "mode": scheme.mode,
-        "anchor": list(scheme.coloring.anchor),
+        "anchor": anchor,
         "provenance": scheme.provenance,
         "warnings": list(scheme.warnings),
     }
+
+
+def scheme_to_dict(scheme: Scheme) -> dict:
+    return _document(scheme, scheme.coloring._flat.tolist())
 
 
 def scheme_from_dict(data: dict) -> Scheme:
@@ -428,35 +463,205 @@ def scheme_from_dict(data: dict) -> Scheme:
     return Scheme(coloring=coloring, mode=mode, provenance=provenance, warnings=tuple(warnings))
 
 
+# Anchor entries printed per block, so that ``save_scheme`` never holds a
+# long anchor map as text all at once.
+_ANCHOR_BLOCK = 1 << 16
+_ITEM_SEP = b",\n    "  # between two entries of a list at indent level 2
+
+
 def scheme_to_json_bytes(scheme: Scheme) -> bytes:
     """Canonical byte encoding: sorted keys, two-space indent, no timestamps.
 
     The bytes are ``json.dumps(scheme_to_dict(scheme), indent=2,
     sort_keys=True) + "\n"``.  json's indenting encoder is pure Python, so
-    the anchor list, the bulk of the document, is printed by one join and
-    put in place of an empty list: "anchor" sorts right after "M", whose
-    value is a number, so the first '"anchor": []' in the text is its key.
+    the document is printed with an empty anchor list and the entries are
+    put in its place by ``_anchor_text``: "anchor" sorts right after "M",
+    whose value is a number, so the first '"anchor": []' in the text is its
+    key.  ``save_scheme`` writes the same blocks to the file one by one.
     """
-    doc = {**scheme_to_dict(scheme), "anchor": []}
-    items = ",\n    ".join(map(str, scheme.coloring.anchor))
-    text = json.dumps(doc, indent=2, sort_keys=True).replace(
-        '"anchor": []', f'"anchor": [\n    {items}\n  ]', 1
-    )
-    return (text + "\n").encode()
+    return b"".join(_json_blocks(scheme))
+
+
+def _json_blocks(scheme: Scheme):
+    """The bytes of ``scheme_to_json_bytes`` as a sequence of blocks."""
+    text = json.dumps(_document(scheme, []), indent=2, sort_keys=True)
+    head, tail = text.split('"anchor": []', 1)
+    yield f'{head}"anchor": [\n    '.encode()
+    yield from _anchor_text(scheme.coloring._flat)
+    yield f"\n  ]{tail}\n".encode()
+
+
+def _anchor_text(flat: np.ndarray):
+    """The entries of ``flat`` (all >= 1) as JSON integers joined by ``_ITEM_SEP``.
+
+    Each block of entries becomes a matrix with one row per entry: its
+    decimal digits right-aligned in as many columns as the largest entry
+    has, then the separator.  Columns left of an entry's first digit hold
+    NUL bytes, and one mask over the matrix drops them, which leaves the
+    row-major bytes of the printed list.  The last entry loses its
+    separator.
+    """
+    width = len(str(int(flat.max())))
+    rows = np.empty((min(flat.size, _ANCHOR_BLOCK), width + len(_ITEM_SEP)), np.uint8)
+    rows[:, width:] = np.frombuffer(_ITEM_SEP, np.uint8)
+    dtype = np.uint32 if width <= 9 else np.int64  # entries below 10^9 fit in 32 bits
+    for start in range(0, flat.size, _ANCHOR_BLOCK):
+        rest = flat[start : start + _ANCHOR_BLOCK].astype(dtype)
+        block = rows[: rest.size]
+        for col in range(width - 1, -1, -1):
+            printed = rest != 0  # the entry still has digits at this column
+            rest, digit = np.divmod(rest, 10)
+            digit += ord("0")
+            digit *= printed
+            block[:, col] = digit
+        text = block[block != 0]
+        yield text if start + _ANCHOR_BLOCK < flat.size else text[: -len(_ITEM_SEP)]
 
 
 def save_scheme(scheme: Scheme, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(scheme_to_json_bytes(scheme))
+        fh.writelines(_json_blocks(scheme))
 
 
 def load_scheme(path) -> Scheme:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a scheme file: ``scheme_from_dict(json.loads(text))``.
+
+    Same result or error as that, word for word, with one speed-up: in a
+    file laid out as ``scheme_to_json_bytes`` writes it, the top-level
+    anchor list goes to numpy as bytes (``_anchor_values``), so no Python
+    int is made per entry; ``_read_document`` says when, and why that gives
+    json's value.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    data = _read_document(blob)
+    if data is None:
         try:
-            data = json.load(fh)
+            data = json.loads(blob.decode("utf-8"))
         except ValueError as exc:  # bad JSON or UTF-8, or an integer of too many digits
             raise SchemeFormatError(f"not valid JSON: {exc}") from exc
     return scheme_from_dict(data)
+
+
+_ANCHOR_OPEN = b'\n  "anchor": ['  # the top-level key as the writer prints it
+# Shorter anchor lists are left to json: its C scanner reads them faster than
+# numpy's fixed cost per call.
+_NUMPY_MIN_BODY = 4096
+_CUT = object()  # what the one NaN put in place of the anchor list parses to
+_CUT_DECODER = json.JSONDecoder(parse_constant=lambda name: _CUT)
+
+
+def _read_document(blob: bytes) -> dict | None:
+    """``json.loads(blob)``, with the anchor list as an int64 array, or None.
+
+    Let ``start`` follow the first ``\\n  "anchor": [`` of the file and
+    ``end`` be the first "]" after it, and let ``rest`` be the file with
+    blob[start:end] replaced by ``NaN``.  The array is returned only when
+    (i) ``_anchor_values`` reads blob[start:end] as a nonempty list of
+    plain integers, (ii) ``rest`` holds no other "NaN" and no "Infinity",
+    (iii) ``rest`` parses, with constants mapped to ``_CUT``, and (iv) the
+    parsed top-level "anchor" value is the list [_CUT].  Then the span is
+    the value json gives the top-level key:
+
+    - The NaN at ``start`` is a value token.  A parsed JSON text has no raw
+      newline inside a string, so the newline of the key pattern is outside
+      one, ``"anchor"`` after it is a whole string token, and ``: [`` puts
+      a value at ``start``.  (The pattern is ASCII, and no byte of a
+      multi-byte UTF-8 character is, so bytes found are characters read.)  By (ii) no other token is a constant, so
+      ``_CUT`` occurs once in the parsed document, as the one element of
+      the list ``[NaN]`` at blob[start - 1:end + 1].
+    - By (iv) that list is what json keeps for the top-level key "anchor"
+      (the last one, if the key repeats).  A nested "anchor", a repeated
+      key or a file laid out another way makes (iv) or (iii) fail.
+    - blob[start:end] holds no quote, bracket or brace, so json.loads(blob)
+      reads the same tokens as ``rest`` outside the span, and inside it
+      the integers that ``_anchor_values`` reads.  Every other value is the
+      one parsed from ``rest``.
+
+    None sends the caller to plain json, which then gives its own result
+    or error.
+    """
+    start = blob.find(_ANCHOR_OPEN) + len(_ANCHOR_OPEN)
+    end = blob.find(b"]", start)
+    if start < len(_ANCHOR_OPEN) or end - start < _NUMPY_MIN_BODY:
+        return None
+    rest = blob[:start] + b"NaN" + blob[end:]
+    if rest.count(b"NaN") != 1 or b"Infinity" in rest:
+        return None
+    try:
+        data = _CUT_DECODER.decode(rest.decode("utf-8"))
+    except ValueError:
+        return None
+    cut = data.get("anchor") if type(data) is dict else None
+    if type(cut) is not list or len(cut) != 1 or cut[0] is not _CUT:
+        return None
+    anchor = _anchor_values(blob, start, end)
+    if anchor is None:
+        return None
+    data["anchor"] = anchor
+    return data
+
+
+_BODY_BLOCK = 1 << 18  # bytes of an anchor list read per block
+_DIGIT_VALUE = np.zeros(256, dtype=np.int64)
+_DIGIT_VALUE[ord("0") : ord("9") + 1] = np.arange(10)
+
+
+def _anchor_values(blob: bytes, start: int, end: int) -> np.ndarray | None:
+    """The integers of the JSON array body blob[start:end], or None.
+
+    The body is read in blocks of about ``_BODY_BLOCK`` bytes, each cut
+    after a comma; ``_digit_block`` reads a block.
+    """
+    parts = []
+    while True:
+        cut = blob.find(b",", min(start + _BODY_BLOCK, end), end)
+        values = _digit_block(blob[start : end if cut < 0 else cut])
+        if values is None:
+            return None
+        parts.append(values)
+        if cut < 0:
+            values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            values.flags.writeable = False  # so LatinColoring keeps it without a copy
+            return values
+        start = cut + 1
+
+
+def _digit_block(chunk: bytes) -> np.ndarray | None:
+    """Values of ``chunk`` as an int64 array if it is a list body json reads the same way.
+
+    Accepted: one or more integers of 1 to 18 digits (so they fit in
+    int64) without a leading zero, separated by single commas, with spaces
+    and newlines anywhere between tokens.  json reads such a body as those
+    integers.  Anything else gives None: signs, exponents, fractions,
+    literals, other whitespace, empty items, a trailing comma, an empty
+    body, longer integers.
+
+    With the whitespace removed, values end at commas and at the end, so
+    their digit runs, lengths and place values come from the comma
+    positions; a chunk with fewer digit runs than values had whitespace
+    inside a value.  Each value is then summed over its digits by place
+    value, one digit position at a time from the right.
+    """
+    packed = chunk.translate(None, b" \n")
+    if not packed or packed.translate(None, b"0123456789,"):
+        return None
+    text = np.frombuffer(packed, np.uint8)
+    commas = np.flatnonzero(text == ord(","))
+    ends = np.append(commas, text.size)  # one past each value's last digit
+    lengths = ends - np.concatenate(([0], commas + 1))
+    digit = np.frombuffer(chunk, np.uint8) >= ord("0")
+    runs = (np.count_nonzero(digit[1:] != digit[:-1]) + int(digit[0]) + int(digit[-1])) // 2
+    if runs != ends.size or lengths.min() < 1 or lengths.max() > 18:
+        return None
+    if ((text[ends - lengths] == ord("0")) & (lengths > 1)).any():
+        return None
+    last = ends - 1
+    values = _DIGIT_VALUE[text[last]]
+    for k in range(1, int(lengths.max())):
+        # last - k < 0 only where lengths <= k, which np.where drops
+        values += np.where(lengths > k, _DIGIT_VALUE[text[last - k]], 0) * 10**k
+    return values
 
 
 def export_map_csv(scheme: Scheme, extent: int, path) -> None:

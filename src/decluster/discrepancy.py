@@ -212,14 +212,24 @@ class DiscReport:
     elapsed_ms: float
 
 
-def _resolve_grid(source, extent: int, M: int | None):
-    """Normalize the coloring source to (grid array, M, d)."""
+def _source_shape(source, extent: int, M: int | None) -> tuple[int, int]:
+    """(M, d) of a coloring source, checked without building its grid."""
     if extent < 1:
         raise ParameterError(f"extent={extent} must be >= 1")
     if isinstance(source, np.ndarray):
         if M is None:
             raise ParameterError("M is required when passing a raw color array")
-        d = source.ndim
+        return int(M), source.ndim
+    coloring = source.coloring if isinstance(source, Scheme) else source
+    if isinstance(coloring, LatinColoring):
+        return coloring.M, coloring.d
+    raise ParameterError(f"cannot evaluate a {type(source).__name__}")
+
+
+def _resolve_grid(source, extent: int, M: int | None):
+    """Normalize the coloring source to (grid array, M, d)."""
+    M, d = _source_shape(source, extent, M)
+    if isinstance(source, np.ndarray):
         if source.shape != (extent,) * d:
             raise ParameterError(
                 f"color array shape {source.shape} does not match extent {extent}"
@@ -227,13 +237,8 @@ def _resolve_grid(source, extent: int, M: int | None):
         grid = source.astype(np.int64, copy=False)
         if grid.min() < 1 or grid.max() > M:
             raise ParameterError(f"colors must lie in [1, {M}]")
-        return grid, int(M), d
-    if isinstance(source, Scheme):
-        coloring = source.coloring
-        return color_grid(coloring, extent), coloring.M, coloring.d
-    if isinstance(source, LatinColoring):
-        return color_grid(source, extent), source.M, source.d
-    raise ParameterError(f"cannot evaluate a {type(source).__name__}")
+        return grid, M, d
+    return color_grid(source, extent), M, d
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +253,11 @@ class RangeCounter:
     """
 
     def __init__(self, source, extent: int, *, M: int | None = None, max_cells: int | None = None):
-        grid, M_, d = _resolve_grid(source, extent, M)
+        M_, d = _source_shape(source, extent, M)
         _check_budget(
             (extent + 1) ** d * M_, f"(N+1)^d * colors = {extent + 1}^{d} * {M_}", max_cells
         )
+        grid = _resolve_grid(source, extent, M)[0]
         self.M = M_
         self.d = d
         self.extent = extent
@@ -925,6 +931,7 @@ def find_positive_witness(coloring: LatinColoring | Scheme) -> WitnessCertificat
         while side ** (d - 1) < M:
             side += 1
     for attempt_side in dict.fromkeys((side, M)):
+        _check_scan_budget(attempt_side, attempt_side, d, 1, None)  # before the grid
         grid = color_grid(coloring, attempt_side)
         tally = np.bincount(grid.reshape(-1), minlength=M + 1)[1:]
         total = attempt_side**d

@@ -630,6 +630,16 @@ def test_witness_budget(cyclic8, capsys, monkeypatch):
     assert stderr.startswith("error: ") and "budget" in stderr
 
 
+def test_witness_refuses_a_large_file_before_its_grid(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "big.json"
+    assert run(capsys, "generate", "--disks", "3000", "--dim", "2", "--mode", "cyclic",
+               "--out", str(path))[0] == 0
+    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "100")
+    code, stdout, stderr = run(capsys, "witness", "--scheme", str(path))
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: ") and "3000 * 3001^1 * 1" in stderr
+
+
 # -- sweep ---------------------------------------------------------------------------
 
 

@@ -1,13 +1,17 @@
 """Latin colorings: extraction from nets, baselines, tiling, serialization."""
 
+import functools
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decluster import coloring
 from decluster.coloring import (
     DEGENERATE_TWO_DIM,
     TRIVIAL_SINGLE_DISK,
@@ -30,6 +34,7 @@ from decluster.nets import (
     net_from_generators,
     pascal_power_generators,
 )
+from decluster.schemegen import generate_scheme
 from oracles import naive_latin_ok
 
 
@@ -344,6 +349,133 @@ def test_scheme_import_rejects_malformed():
     data["anchor"] = [0, 1, 2]
     with pytest.raises(SchemeFormatError):
         scheme_from_dict(data)
+
+
+# -- scheme file reader ---------------------------------------------------------
+
+
+@functools.cache
+def _canonical_blobs() -> tuple[bytes, ...]:
+    specs = [("cyclic", 7, 2), ("random", 12, 3), ("checkerboard", 2, 5), ("random", 150, 2),
+             ("cyclic", 40, 3), ("random", 1001, 2)]
+    blobs = [scheme_to_json_bytes(make_baseline(kind, M, d, seed=3)) for kind, M, d in specs]
+    nets = ((9, "paper"), (16, "smallbase"))
+    return tuple(blobs + [scheme_to_json_bytes(generate_scheme(M, 3, mode)) for M, mode in nets])
+
+
+def _anchor_span(blob: bytes) -> tuple[int, int]:
+    start = blob.index(b'"anchor": [') + len(b'"anchor": [')
+    return start, blob.index(b"]", start)
+
+
+_TOKENS = [b"-1", b"+1", b"1e2", b"1.0", b"true", b"null", b'"3"', b"-0", b"00", b"1" * 19,
+           b"9" * 25, b"1 2", b"0"]
+_SEPARATORS = [b",\t", b",\r\n    ", b" , ", b",\n\n", b"\r\n,", b",,", b"\t,\t"]
+
+
+def _mutate(blob: bytes, kind: str, data) -> bytes:
+    """One edit of a canonical scheme document (see test_load_scheme_matches_json)."""
+    start, end = _anchor_span(blob)
+    body = blob[start:end]
+    entries = body.split(b",")
+    other = b",".join(reversed(entries))  # same length, other order
+    pick = data.draw(st.integers(0, len(entries) - 1))
+    if kind == "digit":
+        at = data.draw(st.sampled_from([i for i, c in enumerate(body) if 48 <= c <= 57]))
+        body = body[:at] + bytes([data.draw(st.integers(48, 57))]) + body[at + 1:]
+    elif kind == "leading-zero":
+        entries[pick] = entries[pick].replace(b" ", b"").replace(b"\n", b"")
+        entries[pick] = b"\n    0" + entries[pick]
+        body = b",".join(entries)
+    elif kind == "token":
+        entries[pick] = b"\n    " + data.draw(st.sampled_from(_TOKENS))
+        body = b",".join(entries)
+    elif kind == "separator":
+        head, tail = b",".join(entries[: pick + 1]), b",".join(entries[pick + 1:])
+        body = head + data.draw(st.sampled_from(_SEPARATORS)) + tail if tail else head
+    elif kind == "trailing-comma":
+        body += b","
+    elif kind == "empty":
+        body = b""
+    elif kind == "crlf":
+        return blob.replace(b"\n", b"\r\n")
+    elif kind == "compact":
+        return json.dumps(json.loads(blob)).encode()
+    elif kind == "reindented":
+        doc = json.loads(blob)  # provenance first, holding an "anchor" of its own
+        provenance = {**doc.pop("provenance"), "anchor": doc["anchor"][::-1]}
+        return json.dumps({"provenance": provenance, **doc}, indent=2).encode()
+    elif kind == "nested-first":  # a nested "anchor" at indent 2, before the real one
+        return blob.replace(b"{", b'{\n  "provenance": {\n  "anchor": [' + other + b"]},", 1)
+    elif kind == "duplicate-first":  # json keeps the last of a repeated key
+        return blob.replace(b"{", b'{\n  "anchor": [' + other + b"],", 1)
+    elif kind == "duplicate-last":
+        return blob[: blob.rindex(b"}")] + b',\n  "anchor": [' + other + b"]\n}\n"
+    elif kind == "constant-elsewhere":
+        return blob.replace(b"{", b'{\n  "extra": NaN,', 1)
+    return blob[:start] + body + blob[end:]
+
+
+def _reference_load(blob: bytes) -> Scheme:
+    """What load_scheme must give: json.loads of the text, then scheme_from_dict."""
+    try:
+        data = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:
+        raise SchemeFormatError(f"not valid JSON: {exc}") from exc
+    return scheme_from_dict(data)
+
+
+def _outcome(load, arg):
+    try:
+        return "ok", load(arg)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+
+
+_MUTATIONS = ["none", "digit", "leading-zero", "token", "separator", "trailing-comma", "empty",
+              "crlf", "compact", "reindented", "nested-first", "duplicate-first",
+              "duplicate-last", "constant-elsewhere"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(_MUTATIONS),
+       numpy_min=st.sampled_from([0, coloring._NUMPY_MIN_BODY]),
+       block=st.sampled_from([8, 64, coloring._BODY_BLOCK]))
+def test_load_scheme_matches_json(data, kind, numpy_min, block):
+    blob = _mutate(data.draw(st.sampled_from(_canonical_blobs())), kind, data)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "_NUMPY_MIN_BODY", numpy_min)
+        mp.setattr(coloring, "_BODY_BLOCK", block)
+        path = Path(tmp) / "scheme.json"
+        path.write_bytes(blob)
+        got = _outcome(load_scheme, path)
+    assert got == _outcome(_reference_load, blob)
+    if kind == "none":
+        assert got[0] == "ok" and scheme_to_json_bytes(got[1]) == blob
+
+
+def test_load_scheme_hands_the_coloring_one_array(tmp_path, monkeypatch):
+    # a long canonical anchor reaches the coloring as an array, not a list
+    # of Python ints, and is kept without a copy
+    scheme = make_baseline("cyclic", 40, 3)
+    save_scheme(scheme, tmp_path / "s.json")
+    handed, init = [], LatinColoring.__init__
+
+    def spy(self, M, d, anchor):
+        handed.append(anchor)
+        init(self, M, d, anchor)
+
+    monkeypatch.setattr(LatinColoring, "__init__", spy)
+    back = load_scheme(tmp_path / "s.json")
+    assert back == scheme and len(handed) == 1
+    assert back.coloring.anchor_tensor().base is handed[0]
+    # a read-only view of a writeable array is still copied
+    base = np.array([2, 3, 1])
+    view = base[:]
+    view.flags.writeable = False
+    col = LatinColoring(M=3, d=2, anchor=view)
+    base[0] = 1
+    assert col.anchor == (2, 3, 1)
 
 
 # -- CSV export -------------------------------------------------------------------

@@ -784,6 +784,20 @@ def test_budget_is_checked_before_the_scan_input_is_built(monkeypatch):
         disc_report(make_baseline("cyclic", 3000, 2), 2000, max_cells=100)
 
 
+def test_range_counter_and_witness_check_the_budget_before_the_grid(monkeypatch):
+    # the grid builders raise, so the budget check has to come first
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a grid before checking the budget")
+
+    monkeypatch.setattr(discrepancy, "_resolve_grid", refuse)
+    monkeypatch.setattr(discrepancy, "color_grid", refuse)
+    with pytest.raises(BudgetExceededError, match="2001\\^2 \\* 2"):
+        RangeCounter(make_baseline("cyclic", 2, 2), 2000, max_cells=100)
+    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "100")
+    with pytest.raises(BudgetExceededError, match="3000 \\* 3001\\^1 \\* 1"):
+        find_positive_witness(make_baseline("cyclic", 3000, 2))
+
+
 def test_witness_flip_fits_the_scan_budget(monkeypatch):
     # this certificate comes from the complement flip; its pieces are
     # recounted from the scanned grid, so the scan's own budget is enough

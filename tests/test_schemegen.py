@@ -18,7 +18,7 @@ from decluster.coloring import (
     scheme_to_json_bytes,
     verify_latin,
 )
-from decluster import schemegen
+from decluster import coloring, schemegen
 from decluster.errors import ParameterError, SchemeFormatError
 from decluster.schemegen import (
     MODES,
@@ -199,6 +199,22 @@ def test_scheme_bytes_equal_the_indented_json_encoder(spec, seed):
         return
     expected = json.dumps(scheme_to_dict(scheme), indent=2, sort_keys=True) + "\n"
     assert scheme_to_json_bytes(scheme) == expected.encode()
+
+
+@pytest.mark.parametrize("mode", ["random", "cyclic"])
+@pytest.mark.parametrize("M", [9, 10, 11, 99, 100, 101, 999, 1000, 1001, 10000])
+def test_scheme_bytes_at_digit_width_and_block_boundaries(tmp_path, monkeypatch, M, mode):
+    # the widest entry sets the writer's digit columns, narrower ones drop
+    # leading zeros; blocks of M - 1 and M entries end one entry before the
+    # last and at the last, and 7 divides 1001 but none of the other M
+    scheme = generate_scheme(M, 2, mode, seed=M)
+    expected = (json.dumps(scheme_to_dict(scheme), indent=2, sort_keys=True) + "\n").encode()
+    assert scheme_to_json_bytes(scheme) == expected
+    for block in (7, M - 1, M):
+        monkeypatch.setattr(coloring, "_ANCHOR_BLOCK", block)
+        assert scheme_to_json_bytes(scheme) == expected
+    save_scheme(scheme, tmp_path / "s.json")
+    assert (tmp_path / "s.json").read_bytes() == expected
 
 
 def test_roundtrip_is_byte_identical(tmp_path):

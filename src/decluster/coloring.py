@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidNetError, ParameterError, SchemeFormatError
+from .errors import InvalidNetError, ParameterError, SchemeFormatError, check_budget
 from .nets import DigitalNet, base_exponent
 
 SCHEME_FORMAT_VERSION = 1
@@ -665,8 +665,13 @@ def _digit_block(chunk: bytes) -> np.ndarray | None:
 
 
 def export_map_csv(scheme: Scheme, extent: int, path) -> None:
-    """Write the full block -> disk table for [extent]^d, lexicographic order."""
+    """Write the full block -> disk table for [extent]^d, lexicographic order.
+
+    The extent^d grid is held to the cell budget before it is built.
+    """
     d = scheme.d
+    check_axes(d, d)  # color_grid's own limit, first: it keeps extent**d printable
+    check_budget(extent**d, f"N^d = {extent}^{d}")
     grid = color_grid(scheme, extent)
     header = [f"x{i}" for i in range(1, d + 1)] + ["disk"]
     with open(path, "w", newline="", encoding="utf-8") as fh:

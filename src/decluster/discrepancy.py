@@ -59,7 +59,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,39 +68,14 @@ from typing import Sequence
 import numpy as np
 
 from .coloring import LatinColoring, Scheme, check_axes, color_grid, verify_latin
-from .errors import BudgetExceededError, ParameterError
+from .errors import ParameterError, check_budget
 from .nets import DigitalNet
-
-MAX_CELLS_ENV = "DECLUSTER_MAX_CELLS"
-DEFAULT_MAX_CELLS = 10**8
 
 # Elements per temporary of one scan chunk (N + W, slabs, planes) or one
 # block of a periodic query's outer product: enough per numpy call to spread
 # its fixed cost, few enough to stay in cache and, at 64 KiB, below the size
 # at which glibc's malloc serves (and returns) memory by mmap on every call.
 _CHUNK_ELEMS = 8192
-
-
-def _max_cells(override: int | None) -> int:
-    if override is not None:
-        return int(override)
-    raw = os.environ.get(MAX_CELLS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_CELLS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{MAX_CELLS_ENV}={raw!r} is not an integer") from exc
-
-
-def _check_budget(cells: int, formula: str, max_cells: int | None) -> None:
-    """Refuse a job of ``cells`` cells (spelled out by ``formula``) over budget."""
-    budget = _max_cells(max_cells)
-    if cells > budget:
-        raise BudgetExceededError(
-            f"{formula} = {cells} cells exceeds the cell budget "
-            f"{budget} (raise {MAX_CELLS_ENV} or pass max_cells to override)"
-        )
 
 
 @dataclass(frozen=True)
@@ -254,7 +228,7 @@ class RangeCounter:
 
     def __init__(self, source, extent: int, *, M: int | None = None, max_cells: int | None = None):
         M_, d = _source_shape(source, extent, M)
-        _check_budget(
+        check_budget(
             (extent + 1) ** d * M_, f"(N+1)^d * colors = {extent + 1}^{d} * {M_}", max_cells
         )
         grid = _resolve_grid(source, extent, M)[0]
@@ -469,7 +443,7 @@ def _may_precede(lo_t, lo: tuple, slabs: int) -> np.ndarray:
 
 def _check_scan_budget(P: int, T: int, d: int, K: int, max_cells: int | None) -> None:
     """Refuse a ``_scan_boxes`` prefix table of P * (T + 1)^(d-1) * K cells over budget."""
-    _check_budget(
+    check_budget(
         P * (T + 1) ** (d - 1) * K,
         f"period * (T+1)^(d-1) * planes = {P} * {T + 1}^{d - 1} * {K}",
         max_cells,
@@ -992,6 +966,6 @@ def report_to_dict(report: DiscReport) -> dict:
 
 
 def save_report(report: DiscReport, path) -> None:
+    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cell budget that raises one."""
+
+from __future__ import annotations
+
+import os
+
+MAX_CELLS_ENV = "DECLUSTER_MAX_CELLS"
+DEFAULT_MAX_CELLS = 10**8
 
 
 class DeclusterError(Exception):
@@ -31,4 +38,29 @@ class BudgetExceededError(DeclusterError):
 
 
 class SchemeFormatError(DeclusterError):
-    """A serialized scheme or net file is malformed or violates an invariant."""
+    """A serialized scheme file is malformed or violates an invariant."""
+
+
+def _max_cells(override: int | None) -> int:
+    if override is not None:
+        return int(override)
+    raw = os.environ.get(MAX_CELLS_ENV)
+    if raw is None:
+        return DEFAULT_MAX_CELLS
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ParameterError(f"{MAX_CELLS_ENV}={raw!r} is not an integer") from exc
+
+
+def check_budget(cells: int, formula: str, max_cells: int | None = None) -> None:
+    """Refuse a job of ``cells`` cells (spelled out by ``formula``) over budget.
+
+    The budget is ``max_cells`` if given, else $DECLUSTER_MAX_CELLS, else 10^8.
+    """
+    budget = _max_cells(max_cells)
+    if cells > budget:
+        raise BudgetExceededError(
+            f"{formula} = {cells} cells exceeds the cell budget "
+            f"{budget} (raise {MAX_CELLS_ENV} or pass max_cells to override)"
+        )

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -71,19 +70,6 @@ class ElementaryInterval:
             raise ParameterError("levels and offsets must have equal length")
         if any(l < 0 for l in self.levels):
             raise ParameterError("levels must be >= 0")
-
-    def volume(self, b: int) -> Fraction:
-        return Fraction(1, b ** sum(self.levels))
-
-    def contains(self, coord_ints: Sequence[int], b: int, m: int) -> bool:
-        """Membership of a point given as per-axis m-digit integers."""
-        for level, offset, value in zip(self.levels, self.offsets, coord_ints):
-            if level <= m:
-                if value // b ** (m - level) != offset:
-                    return False
-            elif value * b ** (level - m) != offset:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -157,28 +143,6 @@ class DigitalNet:
             out = out * self.params.b + self.digits[:, :, r]
         return out
 
-    def point_value(self, k: int) -> tuple[Fraction, ...]:
-        """Exact coordinates of point k as rationals in [0, 1)."""
-        scale = self.params.b**self.params.m
-        ints = self.coord_ints()[k]
-        return tuple(Fraction(int(v), scale) for v in ints)
-
-    @classmethod
-    def from_digit_lists(cls, b: int, points, t: int = 0, provenance=None) -> "DigitalNet":
-        """Build from nested lists: points[k][i] is the digit list of coord i."""
-        arr = np.asarray(points, dtype=np.int64)
-        if arr.ndim == 2:  # m == 0: every coordinate an empty digit list
-            arr = arr.reshape(arr.shape[0], arr.shape[1], 0)
-        if arr.ndim != 3:
-            raise ParameterError("points must be a (n_points, d, m) digit array")
-        n, d, m = arr.shape
-        params = NetParams(b=b, m=m, d=d, t=t)
-        if n != params.n_points:
-            raise ParameterError(f"got {n} points, expected b^m = {params.n_points}")
-        if arr.size and (arr.min() < 0 or arr.max() >= b):
-            raise ParameterError(f"digits must lie in [0, {b})")
-        return cls(params=params, digits=arr, provenance=provenance or {})
-
 
 @dataclass(frozen=True)
 class NetCheck:
@@ -200,29 +164,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
-
-
-def enumerate_elementary_intervals(
-    b: int, m: int, d: int, s: int
-) -> Iterator[ElementaryInterval]:
-    """Every elementary interval of [0,1)^d with level sum s, lexicographic.
-
-    Order is by (levels, offsets).  The count is C(s+d-1, d-1) * b**s.
-    """
-    if b < 2 or d < 1:
-        raise ParameterError(f"need b >= 2 and d >= 1, got b={b}, d={d}")
-    if not 0 <= s <= m * d:
-        raise ParameterError(f"level sum s={s} must lie in [0, m*d={m * d}]")
-    for levels in _compositions(s, d):
-        sizes = [b**l for l in levels]
-        total = b**s
-        for rank in range(total):
-            offsets = []
-            rem = rank
-            for size in reversed(sizes):
-                offsets.append(rem % size)
-                rem //= size
-            yield ElementaryInterval(levels=levels, offsets=tuple(reversed(offsets)))
 
 
 def verify_net(net: DigitalNet, t: int | None = None) -> NetCheck:
@@ -626,8 +567,12 @@ def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
 # Serialization
 
 
-def net_to_dict(net: DigitalNet) -> dict:
-    return {
+def save_net(net: DigitalNet, path) -> None:
+    """Write the net's parameters, digits and provenance as JSON, for people to read.
+
+    The package reads no net file: a scheme carries its own provenance.
+    """
+    record = {
         "b": net.params.b,
         "m": net.params.m,
         "d": net.params.d,
@@ -635,45 +580,9 @@ def net_to_dict(net: DigitalNet) -> dict:
         "points": net.digits.tolist(),
         "provenance": net.provenance,
     }
-
-
-def net_from_dict(data: dict) -> DigitalNet:
-    try:
-        b = int(data["b"])
-        m = int(data["m"])
-        d = int(data["d"])
-        t = int(data["t"])
-        points = data["points"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemeFormatError(f"malformed net description: {exc}") from exc
-    arr = np.asarray(points, dtype=np.int64)
-    if arr.shape != (b**m, d, m):
-        # reshape explicitly for m == 0, where nested lists lose the last axis
-        if m == 0 and arr.shape[:2] == (b**m, d):
-            arr = arr.reshape(b**m, d, 0)
-        else:
-            raise SchemeFormatError(
-                f"points array has shape {arr.shape}, expected {(b**m, d, m)}"
-            )
-    if arr.size and (arr.min() < 0 or arr.max() >= b):
-        raise SchemeFormatError(f"digits must lie in [0, {b})")
-    net = DigitalNet(
-        params=NetParams(b=b, m=m, d=d, t=t),
-        digits=arr,
-        provenance=data.get("provenance", {}),
-    )
-    return net
-
-
-def save_net(net: DigitalNet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(net_to_dict(net), fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_net(path) -> DigitalNet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return net_from_dict(json.load(fh))
 
 
 def _int_lists(value, depth: int) -> bool:

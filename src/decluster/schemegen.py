@@ -22,6 +22,7 @@ from .coloring import (
     DEGENERATE_TWO_DIM,
     LatinColoring,
     Scheme,
+    check_axes,
     make_baseline,
     verify_latin,
 )
@@ -32,6 +33,7 @@ from .errors import (
     InvalidNetError,
     ParameterError,
     SchemeFormatError,
+    check_budget,
 )
 from .gf import prime_power_decompose
 from .nets import (
@@ -102,18 +104,14 @@ def build_net(b: int, m: int, d: int) -> DigitalNet:
 
 
 def _coloring_from_generators(components: Sequence[GeneratorSet], M: int) -> LatinColoring:
-    """The latin coloring of a residue composition of generator nets, without its points.
+    """The coloring of a residue composition of generator nets, without its points.
 
-    ``crt_anchor`` gates and joins the components' anchor maps;
-    ``verify_latin`` then checks the result independently.
+    ``crt_anchor`` gates every component by the rank criterion and joins
+    their anchor maps.  The gate proves the composition a (0, m, d)-net
+    (Niederreiter 1992, ch. 4), which makes the map latin; ``generate_scheme``
+    checks that independently with ``verify_latin``.
     """
-    coloring = LatinColoring(M=M, d=components[0].d, anchor=crt_anchor(components, M))
-    check = verify_latin(coloring)
-    if not check.ok:
-        raise InvalidNetError(
-            f"anchor map read off the generator matrices is unbalanced along axis {check.axis}"
-        )
-    return coloring
+    return LatinColoring(M=M, d=components[0].d, anchor=crt_anchor(components, M))
 
 
 def _smallbase_parameters(M: int, d: int) -> tuple[int, int]:
@@ -153,6 +151,11 @@ def generate_scheme(
     Degenerate corners are routed to the equivalent baseline: M=1 and d=1
     (single disk / single row: every latin coloring coincides), and M=2 for
     the net-backed modes (the parity scheme is the two-disk construction).
+
+    The M^(d-1) anchor cells are held to the cell budget
+    (``errors.check_budget``) before any anchor is built, and a net-backed
+    anchor map is checked by ``verify_latin`` apart from the rank gate that
+    made it.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}; choose from {MODES}")
@@ -160,6 +163,11 @@ def generate_scheme(
         raise ParameterError(f"disk count M={M} must be >= 1")
     if d < 1:
         raise ParameterError(f"dimension d={d} must be >= 1")
+    if M > 1:
+        # verify and every scan read the map as an (M,)*(d-1) array; the axis
+        # limit also keeps M**(d-1) a number the budget message can print
+        check_axes(d - 1, d)
+        check_budget(M ** (d - 1), f"M^(d-1) = {M}^{d - 1}")
     if mode == "checkerboard":
         return make_baseline("checkerboard", M, d)
     if mode == "cyclic":
@@ -179,6 +187,11 @@ def generate_scheme(
         m = k * (d - 1)
     components = _pascal_components(base, m, d)
     coloring = _coloring_from_generators(components, M)
+    check = verify_latin(coloring)
+    if not check.ok:
+        raise InvalidNetError(
+            f"anchor map read off the generator matrices is unbalanced along axis {check.axis}"
+        )
     record = components[0].as_dict()
     if len(components) > 1:
         parts = [{"b": gens.field.q, **gens.as_dict()} for gens in components]
@@ -227,7 +240,9 @@ def regenerate_scheme(scheme: Scheme) -> Scheme:
     record, one generator set or a residue composition of them, is rebuilt
     as ``generate_scheme`` builds it, from the matrices and without points,
     once M is known to be a power of its base; the net is refused
-    (NetConstructionError) when a component fails the rank criterion.
+    (NetConstructionError) when a component fails the rank criterion.  That
+    gate alone stands for the latin check here: the verifier compares the
+    rebuilt map with the stored one, which ``load_scheme`` has checked.
     """
     _check_provenance(scheme)
     M, d = scheme.M, scheme.d

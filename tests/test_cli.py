@@ -228,6 +228,65 @@ def test_verify_checks_the_disk_count_is_a_power_of_the_base(tmp_path, capsys, m
     assert stderr == ""
 
 
+@pytest.mark.parametrize("M, d, mode", [(64, 3, "smallbase"), (60, 3, "paper")])
+def test_generate_and_verify_check_the_latin_property_once(tmp_path, capsys, monkeypatch,
+                                                            M, d, mode):
+    # generate checks the map it reads off the matrices; verify checks the
+    # file's map on load, and the rank-gated rebuild has only to equal it
+    checked = []
+    check_rows = decluster.coloring._check_rows
+
+    def counted(coloring):
+        checked.append(coloring)
+        return check_rows(coloring)
+
+    monkeypatch.setattr(decluster.coloring, "_check_rows", counted)
+    out = tmp_path / "scheme.json"
+    assert run(capsys, "generate", "--disks", str(M), "--dim", str(d), "--mode", mode,
+               "--out", str(out))[0] == 0
+    assert len(checked) == 1
+    code, stdout, _ = run(capsys, "verify", "--scheme", str(out))
+    assert code == 0 and stdout.strip().endswith("PASS")
+    assert len(checked) == 2
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"built {what} before checking the budget")
+
+    return refuse
+
+
+@pytest.mark.parametrize(
+    "M, d, mode",
+    [(100_000, 3, "cyclic"), (100_000, 3, "random"), (100_000, 3, "paper"),
+     (100_000, 3, "smallbase"), (2, 28, "checkerboard")],
+)
+def test_generate_refuses_an_anchor_map_over_budget_before_building_it(
+    tmp_path, capsys, monkeypatch, M, d, mode
+):
+    monkeypatch.delenv("DECLUSTER_MAX_CELLS", raising=False)
+    monkeypatch.setattr(decluster.coloring, "_linear_anchor", _refuse("an anchor map"))
+    monkeypatch.setattr(decluster.schemegen, "crt_anchor", _refuse("an anchor map"))
+    out = tmp_path / "big.json"
+    code, stdout, stderr = run(capsys, "generate", "--disks", str(M), "--dim", str(d),
+                               "--mode", mode, "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    cells = M ** (d - 1)
+    assert stderr.startswith(f"error: M^(d-1) = {M}^{d - 1} = {cells} cells exceeds the "
+                             "cell budget 100000000")
+
+
+def test_generate_refuses_more_anchor_axes_than_numpy_has(tmp_path, capsys):
+    # 2^(d-1) cells would also be over budget; the axis limit is named first
+    limit = decluster.coloring.MAX_AXES
+    out = tmp_path / "wide.json"
+    code, stdout, stderr = run(capsys, "generate", "--disks", "2", "--dim", str(limit + 2),
+                               "--mode", "cyclic", "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert stderr.startswith(f"error: d={limit + 2} needs arrays of {limit + 1} axes")
+
+
 # -- malformed scheme documents ------------------------------------------------------
 
 _DOC_SPECS = [(5, 2, "cyclic"), (4, 3, "random"), (6, 2, "paper"), (5, 3, "paper"),
@@ -613,6 +672,22 @@ def test_export_map(cyclic8, tmp_path, capsys):
     assert lines[0] == "x1,x2,disk"
     assert len(lines) == 10  # header + 3^2 rows
     assert "9 rows" in stdout
+
+
+def test_export_map_refuses_a_grid_over_budget_before_building_it(
+    cyclic8, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.delenv("DECLUSTER_MAX_CELLS", raising=False)
+    monkeypatch.setattr(decluster.coloring, "color_grid", _refuse("the grid"))
+    csv = tmp_path / "map.csv"
+    argv = ("export-map", "--scheme", str(cyclic8), "--csv", str(csv), "--extent")
+    code, stdout, stderr = run(capsys, *argv, "100000")
+    assert code == 1 and stdout == "" and not csv.exists()
+    assert stderr.startswith("error: N^d = 100000^2 = 10000000000 cells exceeds the cell budget")
+    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "8")
+    code, stdout, stderr = run(capsys, *argv, "3")
+    assert code == 1 and stdout == "" and not csv.exists()
+    assert stderr.startswith("error: N^d = 3^2 = 9 cells exceeds the cell budget 8")
 
 
 def test_witness(cyclic8, capsys):

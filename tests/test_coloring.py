@@ -31,6 +31,7 @@ from decluster.coloring import (
 from decluster.errors import InvalidNetError, ParameterError, SchemeFormatError
 from decluster.nets import (
     DigitalNet,
+    NetParams,
     net_from_generators,
     pascal_power_generators,
 )
@@ -40,7 +41,8 @@ from oracles import naive_latin_ok
 
 def identity_net(b):
     """The one-digit two-dimensional net {(i/b, i/b)}."""
-    return DigitalNet.from_digit_lists(b, [[[i], [i]] for i in range(b)])
+    digits = np.arange(b).repeat(2).reshape(b, 2, 1)
+    return DigitalNet(NetParams(b=b, m=1, d=2), digits)
 
 
 # -- coloring_from_net -------------------------------------------------------
@@ -116,7 +118,7 @@ def test_coloring_from_net_parameter_mismatches():
 def test_coloring_from_net_detects_cell_collision():
     # two points in one grid cell: not a valid source for M=2 (k=1 needs m=1,
     # so feed a crafted m=1 "net" bypassing the constructor gate)
-    bad = DigitalNet.from_digit_lists(2, [[[0], [0]], [[0], [1]]])
+    bad = DigitalNet(NetParams(b=2, m=1, d=2), np.array([[[0], [0]], [[0], [1]]]))
     with pytest.raises(InvalidNetError):
         coloring_from_net(bad, 2)
 

@@ -833,6 +833,15 @@ def test_report_dict_shape(tmp_path):
     assert json.loads(path.read_text()) == json.loads(json.dumps(data))
 
 
+def test_save_report_writes_the_canonical_json_bytes(tmp_path):
+    path = tmp_path / "report.json"
+    for positive_only in (False, True):
+        rep = disc_report(make_baseline("cyclic", 5, 2), 8, positive_only=positive_only)
+        save_report(rep, path)
+        want = json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode()
+
+
 def test_report_dict_positive_only():
     rep = disc_report(make_baseline("cyclic", 3, 2), 3, positive_only=True)
     data = report_to_dict(rep)

@@ -10,21 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decluster.coloring import coloring_from_net
-from decluster.errors import NetConstructionError, ParameterError, SchemeFormatError
+from decluster.errors import NetConstructionError, ParameterError
 from decluster.gf import field_for, field_for_order
 from decluster.nets import (
     DigitalNet,
-    ElementaryInterval,
     GeneratorSet,
     NetParams,
     crt_anchor,
     crt_compose,
-    enumerate_elementary_intervals,
     generator_anchor,
-    load_net,
-    net_from_dict,
     net_from_generators,
-    net_to_dict,
     pascal_power_generators,
     rank_gate,
     save_net,
@@ -33,9 +28,22 @@ from decluster.nets import (
 from oracles import naive_net_check
 
 
+def digit_net(b, points):
+    """The base-b net whose point k has the digit list points[k][i] on axis i."""
+    digits = np.asarray(points, dtype=np.int64)
+    _, d, m = digits.shape
+    return DigitalNet(NetParams(b=b, m=m, d=d), digits)
+
+
 def permutation_net(perm):
     """The one-digit two-dimensional net {(i/b, perm[i]/b)}, b = len(perm)."""
-    return DigitalNet.from_digit_lists(len(perm), [[[i], [v]] for i, v in enumerate(perm)])
+    return digit_net(len(perm), [[[i], [v]] for i, v in enumerate(perm)])
+
+
+def point_values(net):
+    """Exact coordinates of every point, as rationals in [0, 1)."""
+    scale = net.params.b**net.params.m
+    return [tuple(Fraction(int(v), scale) for v in row) for row in net.coord_ints()]
 
 
 # -- generator matrices ------------------------------------------------------
@@ -90,8 +98,7 @@ def test_pascal_generators_prime_power_field():
 
 def test_net_q2_m2_d2_points():
     net = net_from_generators(pascal_power_generators(2, 2, 2))
-    values = [net.point_value(k) for k in range(4)]
-    assert values == [
+    assert point_values(net) == [
         (Fraction(0), Fraction(0)),
         (Fraction(1, 2), Fraction(1, 2)),
         (Fraction(1, 4), Fraction(3, 4)),
@@ -101,7 +108,7 @@ def test_net_q2_m2_d2_points():
 
 def test_identity_matrix_gives_radical_inverse():
     net = net_from_generators(pascal_power_generators(2, 1, 3))
-    first = [net.point_value(k)[0] for k in range(8)]
+    first = [point[0] for point in point_values(net)]
     assert first == [
         Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4),
         Fraction(1, 8), Fraction(5, 8), Fraction(3, 8), Fraction(7, 8),
@@ -111,15 +118,14 @@ def test_identity_matrix_gives_radical_inverse():
 def test_m_zero_single_point():
     net = net_from_generators(pascal_power_generators(3, 2, 0))
     assert net.params.n_points == 1
-    assert net.point_value(0) == (Fraction(0), Fraction(0))
+    assert point_values(net) == [(Fraction(0), Fraction(0))]
 
 
 def test_constructed_nets_pass_naive_check():
     # cross-check the vectorized verifier against point-by-point membership
     for q, d, m in [(2, 2, 3), (3, 3, 2), (4, 5, 2), (5, 6, 2)]:
         net = net_from_generators(pascal_power_generators(q, d, m))
-        points = [net.point_value(k) for k in range(net.params.n_points)]
-        ok, violation = naive_net_check(points, q, m, d, t=0)
+        ok, violation = naive_net_check(point_values(net), q, m, d, t=0)
         assert ok, violation
 
 
@@ -129,40 +135,7 @@ def test_digit_ranges_and_shapes():
     assert net.digits.min() >= 0 and net.digits.max() <= 2
 
 
-# -- elementary intervals and the verifier -----------------------------------
-
-
-def test_enumerate_interval_counts():
-    assert len(list(enumerate_elementary_intervals(2, 2, 2, 2))) == 12
-    assert len(list(enumerate_elementary_intervals(3, 1, 2, 1))) == 6
-    assert len(list(enumerate_elementary_intervals(2, 1, 3, 0))) == 1
-    # general count: binom(s+d-1, d-1) * b^s
-    for b, m, d, s in [(2, 3, 2, 3), (3, 2, 3, 2)]:
-        n = len(list(enumerate_elementary_intervals(b, m, d, s)))
-        assert n == math.comb(s + d - 1, d - 1) * b**s
-
-
-def test_enumerate_intervals_lexicographic():
-    seq = list(enumerate_elementary_intervals(2, 2, 2, 1))
-    keys = [(iv.levels, iv.offsets) for iv in seq]
-    assert keys == sorted(keys)
-    assert keys[0] == ((0, 1), (0, 0))
-
-
-def test_interval_contains():
-    iv = ElementaryInterval(levels=(1, 0), offsets=(1, 0))
-    # [1/2, 1) x [0, 1) for b=2, m=2: coordinate ints out of 4
-    assert iv.contains((2, 0), 2, 2)
-    assert iv.contains((3, 3), 2, 2)
-    assert not iv.contains((1, 0), 2, 2)
-    assert iv.volume(2) == Fraction(1, 2)
-
-
-def test_interval_deeper_than_digits():
-    # level 3 on a 2-digit coordinate: only offsets hit by value*b exactly
-    iv = ElementaryInterval(levels=(3,), offsets=(2,))
-    assert iv.contains((1,), 2, 2)  # value 1/4 -> scaled 1*2 = 2
-    assert not iv.contains((2,), 2, 2)
+# -- the verifier ------------------------------------------------------------
 
 
 def test_verify_net_passes_and_counts():
@@ -180,7 +153,7 @@ def test_verify_identity_permutation_base4():
 
 
 def test_verify_duplicated_origin_fails():
-    bad = DigitalNet.from_digit_lists(2, [[[0], [0]], [[0], [0]]])
+    bad = digit_net(2, [[[0], [0]], [[0], [0]]])
     check = verify_net(bad, 0)
     assert not check.ok
     assert check.violation.levels == (0, 1)
@@ -205,20 +178,15 @@ def test_verify_general_t():
 def test_verify_first_violation_is_lexicographically_first():
     # 4 points, two stacked in the left column: several intervals fail;
     # the report must name the lex-first (levels, offsets)
-    bad = DigitalNet.from_digit_lists(
+    bad = digit_net(
         2, [[[0, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 0]], [[1, 1], [1, 1]]]
     )
     check = verify_net(bad, 0)
     assert not check.ok
-    violating = []
-    for iv in enumerate_elementary_intervals(2, 2, 2, 2):
-        inside = sum(
-            iv.contains(tuple(int(v) for v in row), 2, 2)
-            for row in bad.coord_ints()
-        )
-        if inside != 1:
-            violating.append((iv.levels, iv.offsets))
-    assert (check.violation.levels, check.violation.offsets) == min(violating)
+    # the oracle walks (levels, offsets) in lexicographic order, point by point
+    ok, first = naive_net_check(point_values(bad), 2, 2, 2, t=0)
+    assert not ok
+    assert (check.violation.levels, check.violation.offsets) == first
 
 
 # -- CRT composition ---------------------------------------------------------
@@ -246,8 +214,7 @@ def test_crt_identity_components_give_identity():
     c2 = permutation_net([0, 1])
     c3 = permutation_net([0, 1, 2])
     net = crt_compose([c2, c3], 6)
-    for k in range(6):
-        assert net.point_value(k)[1] == Fraction(k, 6)
+    assert [point[1] for point in point_values(net)] == [Fraction(k, 6) for k in range(6)]
 
 
 def test_crt_single_component_passthrough():
@@ -261,8 +228,7 @@ def test_crt_composed_net_is_balanced():
         net_from_generators(pascal_power_generators(q, 3, 2)) for q in (2, 3)
     ]
     net = crt_compose(comps, 6)
-    points = [net.point_value(k) for k in range(36)]
-    ok, violation = naive_net_check(points, 6, 2, 3, t=0)
+    ok, violation = naive_net_check(point_values(net), 6, 2, 3, t=0)
     assert ok, violation
 
 
@@ -474,18 +440,8 @@ def test_net_json_roundtrip(tmp_path):
         isinstance(digit, int)
         for point in data["points"] for coord in point for digit in coord
     )
-    back = load_net(path)
-    assert np.array_equal(back.digits, net.digits)
-    assert back.params == net.params
-    assert back.provenance == net.provenance
-
-
-def test_net_dict_rejects_garbage():
-    net = net_from_generators(pascal_power_generators(2, 2, 2))
-    data = net_to_dict(net)
-    broken = dict(data, points=data["points"][:-1])
-    with pytest.raises(SchemeFormatError):
-        net_from_dict(broken)
+    assert np.array_equal(data["points"], net.digits)
+    assert (data["t"], data["provenance"]) == (0, net.provenance)
 
 
 def test_net_params_validation():

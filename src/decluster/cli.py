@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extent", type=int, required=True, metavar="N")
     p.add_argument("--positive-only", action="store_true")
     p.add_argument("--report", default=None, metavar="report.json")
-    p.add_argument("--max-cells", type=int, default=None, help="cell budget of the scan")
+    p.add_argument("--max-cells", type=int, default=None,
+                   help="cell budget of the scan; overrides DECLUSTER_MAX_CELLS")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("query", help="response time and per-disk counts of one box")
@@ -232,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extent-multiplier", type=int, default=1, metavar="k")
     p.add_argument("--csv", required=True, metavar="out.csv")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-cells", type=int, default=None)
+    p.add_argument("--max-cells", type=int, default=None,
+                   help="cell budget of each scan; overrides DECLUSTER_MAX_CELLS")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -328,8 +329,8 @@ def make_baseline(
 
     checkerboard: the parity coloring, M = 2 only.
     cyclic: anchor(u) = (sum(s_i * u_i) mod M) + 1 with per-axis skews
-        (default all 1).  Skews must be invertible mod M to keep rows
-        balanced.
+        (default all 1).  Rows are balanced exactly when every skew is
+        invertible mod M, which is checked in place of the rows.
     random: the cyclic coloring scrambled by independent uniformly random
         relabelings of each axis's coordinate values (axis 1 acts on anchor
         values), which preserves row balance.  Deterministic per seed.
@@ -346,13 +347,16 @@ def make_baseline(
         skews = tuple(int(s) for s in (skews if skews is not None else (1,) * (d - 1)))
         if len(skews) != d - 1:
             raise ParameterError(f"need {d - 1} skews, got {len(skews)}")
+        # u -> s u + c is a bijection of Z_M exactly when gcd(s, M) = 1, so
+        # that rule alone decides whether every row is balanced
+        for axis, s in enumerate(skews, start=2):
+            common = math.gcd(s, M)
+            if common != 1:
+                raise ParameterError(
+                    f"skews {skews} do not keep rows balanced mod {M} "
+                    f"(axis {axis}: gcd({s}, {M}) = {common})"
+                )
         coloring = LatinColoring(M=M, d=d, anchor=_linear_anchor(M, skews, 0))
-        check = verify_latin(coloring)
-        if not check.ok:
-            raise ParameterError(
-                f"skews {skews} do not keep rows balanced mod {M} "
-                f"(axis {check.axis} row carries colors {check.colors})"
-            )
         return Scheme(
             coloring=coloring,
             mode="cyclic",

@@ -62,5 +62,5 @@ def check_budget(cells: int, formula: str, max_cells: int | None = None) -> None
     if cells > budget:
         raise BudgetExceededError(
             f"{formula} = {cells} cells exceeds the cell budget "
-            f"{budget} (raise {MAX_CELLS_ENV} or pass max_cells to override)"
+            f"{budget} (raise {MAX_CELLS_ENV} to override)"
         )

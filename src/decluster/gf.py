@@ -6,10 +6,13 @@ residue-class polynomial ``sum(c[j] * x**j)``.  Index 0 is the additive
 and index 1 the multiplicative identity in every field.  All arithmetic
 is integer-exact; floating point is never involved.
 
-Scalar arithmetic runs on the polynomial routines for every field order,
-with no lookup tables.  ``PrimePowerField.matvec`` multiplies a matrix by
-many vectors at once, in extension fields through the Z_p-linear map that
-multiplication by a fixed element is (Lidl & Niederreiter, ch. 2).
+Scalar ``mul`` and ``pow`` run on the polynomial routines for every field
+order, with no lookup tables.  A GF(q)-linear map has one vectorized form:
+``PrimePowerField.expand`` writes its matrix over Z_p, each entry c becoming
+the e-by-e matrix of multiplication by c on coefficient vectors (the regular
+representation; Lidl & Niederreiter, *Finite Fields*, ch. 2), and
+``PrimePowerField.map_all`` applies such a Z_p matrix to every vector of
+GF(q)^n at once, by per-entry contributions joined with outer sums.
 """
 
 from __future__ import annotations
@@ -151,9 +154,10 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
 class PrimePowerField:
     """Arithmetic in GF(p^e) on integer-encoded elements.
 
-    Elements are integers in ``range(q)``; ``coeffs``/``from_coeffs`` convert
-    between the integer encoding and the coefficient vector.  ``add``, ``mul``,
-    ``inv`` and ``pow`` are exact.  Do not mix elements of distinct fields.
+    Elements are integers in ``range(q)``; ``coeffs`` gives an element's
+    coefficient vector.  ``mul`` and ``pow`` are exact, and ``expand`` and
+    ``map_all`` apply GF(q)-linear maps over Z_p.  Do not mix elements of
+    distinct fields.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
@@ -195,12 +199,6 @@ class PrimePowerField:
         self._check(a)
         return _encoding_to_coeffs(a, self.p, self.e)
 
-    def from_coeffs(self, coeffs) -> int:
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != self.e or not all(0 <= c < self.p for c in coeffs):
-            raise ParameterError(f"need {self.e} coefficients in [0, {self.p})")
-        return _coeffs_to_encoding(coeffs, self.p)
-
     def _check(self, a: int) -> int:
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:
             raise ParameterError(f"{a!r} is not an element of GF({self.q})")
@@ -208,38 +206,15 @@ class PrimePowerField:
 
     # -- scalar arithmetic ---------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        a, b = self._check(a), self._check(b)
-        if self.e == 1:
-            return (a + b) % self.p
-        return self._poly_add(a, b)
-
-    def neg(self, a: int) -> int:
-        a = self._check(a)
-        if self.e == 1:
-            return (-a) % self.p
-        return _coeffs_to_encoding(
-            tuple((-c) % self.p for c in self.coeffs(a)), self.p
-        )
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         a, b = self._check(a), self._check(b)
         return self._poly_mul(a, b)
 
-    def inv(self, a: int) -> int:
-        """a^(q-2), the inverse of a nonzero a by Fermat's little theorem."""
-        if self._check(a) == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.q})")
-        return self.pow(a, self.q - 2)
-
     def pow(self, a: int, n: int) -> int:
-        """Square-and-multiply exponentiation; negative n inverts first."""
+        """Square-and-multiply exponentiation, for n >= 0."""
         a = self._check(a)
         if n < 0:
-            a, n = self.inv(a), -n
+            raise ParameterError(f"exponent n={n} must be >= 0")
         result = 1
         base = a
         while n:
@@ -249,53 +224,67 @@ class PrimePowerField:
             n >>= 1
         return result
 
-    # -- vectorized arithmetic -----------------------------------------------
+    # -- GF(q)-linear maps over Z_p -----------------------------------------
 
-    def matvec(self, mat, vecs) -> np.ndarray:
-        """Matrix times many vectors over the field.
+    def expand(self, mats) -> np.ndarray:
+        """Matrices over GF(q) written over Z_p: shape (..., r, c) -> (..., r e, c e).
 
-        ``mat`` has shape (r, m) and ``vecs`` shape (n, m), both of element
-        indices; returns the (n, r) array whose row k is mat @ vecs[k].
+        Each entry c becomes the e-by-e matrix L_c of multiplication by c on
+        coefficient vectors: column t holds the coefficients of c * x^t, so
+        the expansion of C times the stacked coefficient vectors of v is the
+        stack of those of C v.  c -> L_c is an injective ring homomorphism
+        into commuting matrices, so the expansion of a square matrix has the
+        norm of its determinant as determinant: one is invertible over Z_p
+        exactly when the other is invertible over GF(q), and the expansion of
+        an inverse is the inverse of the expansion.
         """
-        mat = np.asarray(mat, dtype=np.int64)
-        vecs = np.asarray(vecs, dtype=np.int64)
+        mats = np.asarray(mats, dtype=np.int64)
         p, e = self.p, self.e
         if e == 1:
-            return (vecs @ mat.T) % p
-        # Multiplying by a fixed entry c is Z_p-linear on coefficient vectors:
-        # row t of L_c is coeffs(c * x^t), so c*v for every element v is one
-        # (q, e) @ (e, e) product.  Products are summed with their coefficients
-        # spread to base B = m(p-1)+1, where a sum of m terms carries no digit;
-        # ``packed`` then maps each of the B^e <= q^m sums to its element,
-        # every base-B digit reduced mod p and read back in base p.
-        n, m = vecs.shape
-        base = m * (p - 1) + 1
-        coeffs = (np.arange(self.q)[:, None] // p ** np.arange(e)) % p
-        spread = base ** np.arange(e, dtype=np.int64)
-        packed = np.zeros(1, dtype=np.int64)
-        for t in range(e):
-            packed = ((np.arange(base) % p * p**t)[:, None] + packed).ravel()
-        products = {}
-        out = np.empty((n, len(mat)), dtype=np.int64)
-        for r, row in enumerate(mat.tolist()):
-            acc = np.zeros(n, dtype=np.int64)
-            for c, entry in enumerate(row):
-                if entry:
-                    if entry not in products:
-                        lin = [self.coeffs(self.mul(entry, p**t)) for t in range(e)]
-                        products[entry] = (coeffs @ np.array(lin) % p) @ spread
-                    acc += products[entry][vecs[:, c]]
-            out[:, r] = packed[acc]
+            return mats
+        *lead, r, c = mats.shape
+        low = np.array(self.modulus[:-1], dtype=np.int64)
+        column = mats[..., None] // p ** np.arange(e) % p  # coefficients of c * x^0
+        columns = [column]
+        for _ in range(e - 1):
+            # times x: shift every coefficient up, and x^e = -(low terms of the modulus)
+            top = column[..., -1:]
+            shifted = np.concatenate((np.zeros_like(top), column[..., :-1]), axis=-1)
+            column = (shifted - top * low) % p
+            columns.append(column)
+        blocks = np.stack(columns, axis=-1)  # (..., r, c, coefficient, t)
+        return np.swapaxes(blocks, -3, -2).reshape(*lead, r * e, c * e)
+
+    def map_all(self, lin, n: int, weights) -> np.ndarray:
+        """sum_o weights[o] * (row o of ``lin`` times v mod p), for every v in GF(q)^n.
+
+        ``lin`` is a Z_p matrix of n e columns (an ``expand`` output, or a map
+        solved on one) acting on the stacked coefficient vectors of v's n
+        entries.  Returns the int64 array of length q^n indexed by v's rank
+        sum(v_j q^(n-1-j)), the first entry most significant.  Row o is
+        applied as per-entry contributions joined by outer sums, O(n) numpy
+        passes over q^n values.
+        """
+        p, e, q = self.p, self.e, self.q
+        lin = np.asarray(lin, dtype=np.int64)
+        coeffs = np.arange(q)[:, None] // p ** np.arange(e) % p  # (q, e): v_j -> coefficients
+        # contrib[o, j, v_j]: what entry j = v_j adds to row o, mod p; a vector
+        # adds n of them, so the smallest dtype holding n(p-1) never wraps; the
+        # weighted sum is taken in int64.
+        dtype = np.min_scalar_type(max(1, n * (p - 1)))
+        contrib = (lin.reshape(len(lin), n, e) @ coeffs.T % p).astype(dtype)
+        out = np.zeros(q**n, dtype=np.int64)
+        for row, weight in zip(contrib, np.asarray(weights).tolist()):
+            total = np.zeros(1, dtype=dtype)
+            # least significant entry first, each new entry the slowest axis: the
+            # result is row-major in the rank, and numpy's inner loop stays long
+            for entry in row[::-1]:
+                total = np.add.outer(entry, total).reshape(-1)
+            total %= p
+            out += np.multiply(total, weight, dtype=np.int64)
         return out
 
     # -- polynomial ground truth: the only scalar path ------------------------
-
-    def _poly_add(self, a: int, b: int) -> int:
-        ca = _encoding_to_coeffs(a, self.p, self.e)
-        cb = _encoding_to_coeffs(b, self.p, self.e)
-        return _coeffs_to_encoding(
-            tuple((x + y) % self.p for x, y in zip(ca, cb)), self.p
-        )
 
     def _poly_mul(self, a: int, b: int) -> int:
         if self.e == 1:

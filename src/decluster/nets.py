@@ -95,6 +95,10 @@ class GeneratorSet:
             if len(mat) != self.m or any(len(row) != self.m for row in mat):
                 raise ParameterError("generator matrices must be m x m")
 
+    def expanded(self) -> np.ndarray:
+        """The d matrices written over Z_p (``PrimePowerField.expand``), shape (d, m e, m e)."""
+        return self.field.expand(np.reshape(self.matrices, (self.d, self.m, self.m)))
+
     def as_dict(self) -> dict:
         """The provenance record of the net these matrices generate."""
         return {
@@ -251,31 +255,6 @@ def pascal_power_generators(q: int, d: int, m: int) -> GeneratorSet:
 _GATE_CHUNK_BYTES = 1 << 24
 
 
-def _expanded_matrices(gens: GeneratorSet) -> np.ndarray:
-    """The d generator matrices written over Z_p, shape (d, m*e, m*e).
-
-    Over GF(p^e) each entry c becomes the e-by-e matrix L_c of multiplication
-    by c on coefficient vectors: column t holds the coefficients of c * x^t,
-    so the expansion of C times the stacked coefficient vectors of v is the
-    stack of those of C v.  c -> L_c is an injective ring homomorphism into
-    commuting matrices, so the expansion of a square matrix has the norm of
-    its determinant as determinant: one is invertible over Z_p exactly when
-    the other is invertible over GF(p^e), and the expansion of an inverse is
-    the inverse of the expansion.
-    """
-    fld = gens.field
-    p, e, m, d = fld.p, fld.e, gens.m, gens.d
-    mats = np.asarray(gens.matrices, dtype=np.int64).reshape(d, m, m)
-    if e == 1:
-        return mats
-    entries, where = np.unique(mats, return_inverse=True)
-    # products[t, i] = entries[i] * x^t, then split into its e coefficients
-    products = fld.matvec(entries[:, None], (p ** np.arange(e, dtype=np.int64))[:, None])
-    lin = products.T[:, :, None] // p ** np.arange(e, dtype=np.int64) % p  # (entries, t, coeff)
-    blocks = lin[where.reshape(d, m, m)]  # (d, row, col, t, coeff)
-    return blocks.transpose(0, 1, 4, 2, 3).reshape(d, m * e, m * e)
-
-
 def _invertible_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     """Which matrices of ``stack`` (k, n, n), entries in [0, p), are invertible mod p.
 
@@ -309,8 +288,9 @@ def _first_singular_composition(gens: GeneratorSet, expanded: np.ndarray) -> tup
 
     For each composition of m the first l_j rows of each C_j are stacked
     into one square matrix; ``None`` when every one of them is invertible.
-    The C(m+d-1, d-1) matrices are written over Z_p (``expanded``) and
-    eliminated together, a bounded number of bytes at a time.
+    The C(m+d-1, d-1) matrices are written over Z_p (``expanded``, from
+    ``GeneratorSet.expanded``) and eliminated together, a bounded number of
+    bytes at a time.
     """
     fld = gens.field
     p, e, m, d = fld.p, fld.e, gens.m, gens.d
@@ -344,7 +324,7 @@ def rank_gate(gens: GeneratorSet) -> bool:
     ``verify_net(net, 0).ok`` on the net ``net_from_generators`` builds,
     without counting its points.
     """
-    return _first_singular_composition(gens, _expanded_matrices(gens)) is None
+    return _first_singular_composition(gens, gens.expanded()) is None
 
 
 def base_exponent(M: int, b: int) -> int:
@@ -386,9 +366,9 @@ def generator_anchor(gens: GeneratorSet, M: int) -> np.ndarray:
     composition (0, k, ..., k) makes B invertible, so that point's first k
     digits of x_1 are A y with A = C_1[:k] B^-1, one k-by-m map: the anchor
     of line r is A y read as a base-q integer, plus 1.  Over GF(p^e) A is
-    solved on the expansions over Z_p (``_expanded_matrices``); y's
+    solved on the expansions over Z_p (``PrimePowerField.expand``); y's
     coefficients are then the base-p digits of r and A y's are those of the
-    anchor.  A is applied as per-digit contributions joined by outer sums,
+    anchor.  A is applied to every y at once by ``PrimePowerField.map_all``,
     O(k e) work per line, and no point of the net is built.
 
     Returns the flat 1-based int64 anchor array, row-major in (x_2, ..., x_d)
@@ -403,7 +383,7 @@ def generator_anchor(gens: GeneratorSet, M: int) -> np.ndarray:
         raise ParameterError(
             f"point set has m={m} digits per coordinate, need k*(d-1) = {k * (d - 1)}"
         )
-    expanded = _expanded_matrices(gens)
+    expanded = gens.expanded()
     levels = _first_singular_composition(gens, expanded)
     if levels is not None:
         raise NetConstructionError(
@@ -412,23 +392,8 @@ def generator_anchor(gens: GeneratorSet, M: int) -> np.ndarray:
         )
     lead = expanded[:, : k * e]  # first k rows of each C_j over Z_p
     A = _right_divide_mod_p(lead[0], lead[1:].reshape(m * e, m * e), p)  # (k e, m e)
-    coeffs = np.arange(q)[:, None] // p ** np.arange(e) % p  # (q, e): y -> coefficients
-    # contrib[o, j, y]: what digit j = y adds to output coefficient o, mod p;
-    # a line adds m of them, so the smallest dtype holding m(p-1) never wraps;
-    # the weighted sum is taken in int64.
-    dtype = np.min_scalar_type(max(1, m * (p - 1)))
-    contrib = (A.reshape(k * e, m, e) @ coeffs.T % p).astype(dtype)
     weights = (q ** np.arange(k - 1, -1, -1)[:, None] * p ** np.arange(e)).reshape(-1)
-    anchor = np.ones(q**m, dtype=np.int64)
-    for row, weight in zip(contrib, weights.tolist()):
-        total = np.zeros(1, dtype=dtype)
-        # least significant digit first, each new digit the slowest axis: the
-        # result is row-major in the rank, and numpy's inner loop stays long
-        for digit in row[::-1]:
-            total = np.add.outer(digit, total).reshape(-1)
-        total %= p
-        anchor += np.multiply(total, weight, dtype=np.int64)
-    return anchor
+    return 1 + fld.map_all(A, m, weights)
 
 
 def crt_anchor(components: Sequence[GeneratorSet], M: int) -> np.ndarray:
@@ -469,19 +434,22 @@ def net_from_generators(gens: GeneratorSet) -> DigitalNet:
 
     Point k's index digits (least significant first) are multiplied by each
     coordinate's matrix over GF(q); the resulting digit vector is the
-    coordinate, most significant digit first.  The balance check is
+    coordinate, most significant digit first.  Digit r of coordinate j is
+    one ``map_all`` of row r of C_j over Z_p.  The balance check is
     ``rank_gate``; a refused set raises NetConstructionError carrying the
     first unbalanced interval of ``verify_net``.
     """
     fld = gens.field
-    q, m, d = fld.q, gens.m, gens.d
-    n = q**m
-    ks = np.arange(n, dtype=np.int64)
-    # index digits, least significant first: shape (n, m)
-    idx_digits = (ks[:, None] // q ** np.arange(m, dtype=np.int64)) % q
-    digits = np.zeros((n, d, m), dtype=np.int64)
-    for j, mat in enumerate(gens.matrices):
-        digits[:, j, :] = fld.matvec(mat, idx_digits)
+    p, e, q, m, d = fld.p, fld.e, fld.q, gens.m, gens.d
+    # column block c of C_j acts on index digit c of weight q^c; reversed, the
+    # blocks run most significant first, as map_all reads a vector's rank
+    rows = gens.expanded().reshape(d, m, e, m, e)[:, :, :, ::-1]
+    rows = rows.reshape(d, m, e, m * e)
+    weights = p ** np.arange(e)
+    digits = np.zeros((q**m, d, m), dtype=np.int64)
+    for j in range(d):
+        for r in range(m):
+            digits[:, j, r] = fld.map_all(rows[j, r], m, weights)
     net = DigitalNet(
         params=NetParams(b=q, m=m, d=d, t=0), digits=digits, provenance=gens.as_dict()
     )

@@ -33,12 +33,14 @@ from .errors import (
     InvalidNetError,
     ParameterError,
     SchemeFormatError,
+    _max_cells,
     check_budget,
 )
 from .gf import prime_power_decompose
 from .nets import (
     DigitalNet,
     GeneratorSet,
+    NetParams,
     check_net_provenance,
     crt_anchor,
     crt_compose,
@@ -98,8 +100,16 @@ def build_net(b: int, m: int, d: int) -> DigitalNet:
 
     Every prime-power factor q of b gets its own generator-matrix net over
     GF(q); the digitwise residue bijection assembles them into one base-b
-    point set, which is balance-checked before it is returned.
+    point set, which is balance-checked before it is returned.  Its b^m d m
+    digit cells are held to the cell budget (``errors.check_budget``) before
+    any matrix or point is built.
     """
+    NetParams(b=b, m=m, d=d)  # refuse b < 2, m < 0 and d < 1 before sizing the net
+    formula = f"b^m*d*m = {b}^{m}*{d}*{m}"
+    bits = _max_cells(None).bit_length()
+    if m > max(bits, 64):  # 2^m alone exceeds the budget: an absurd m forms no b^m
+        check_budget(2**bits, f"{formula} > 2^{bits}")
+    check_budget(b**m * d * m, formula)
     return crt_compose([net_from_generators(g) for g in _pascal_components(b, m, d)], b)
 
 

@@ -250,6 +250,22 @@ def test_generate_and_verify_check_the_latin_property_once(tmp_path, capsys, mon
     assert len(checked) == 2
 
 
+@pytest.mark.parametrize("mode", ["cyclic", "random"])
+def test_verify_checks_a_cyclic_or_random_map_once(tmp_path, capsys, monkeypatch, mode):
+    # the rebuilt cyclic map (for random, the cyclic one it relabels) is latin
+    # by its skews' gcd rule, so only the file's map is checked, on load
+    out = tmp_path / "scheme.json"
+    assert run(capsys, "generate", "--disks", "60", "--dim", "3", "--mode", mode,
+               "--out", str(out))[0] == 0
+    checked = []
+    check_rows = decluster.coloring._check_rows
+    monkeypatch.setattr(decluster.coloring, "_check_rows",
+                        lambda coloring: checked.append(coloring) or check_rows(coloring))
+    code, stdout, _ = run(capsys, "verify", "--scheme", str(out))
+    assert code == 0 and stdout.strip().endswith("PASS")
+    assert len(checked) == 1
+
+
 def _refuse(what):
     def refuse(*args, **kwargs):
         raise AssertionError(f"built {what} before checking the budget")
@@ -285,6 +301,31 @@ def test_generate_refuses_more_anchor_axes_than_numpy_has(tmp_path, capsys):
                                "--mode", "cyclic", "--out", str(out))
     assert code == 1 and stdout == "" and not out.exists()
     assert stderr.startswith(f"error: d={limit + 2} needs arrays of {limit + 1} axes")
+
+
+@pytest.mark.parametrize("m, cells", [
+    (40, f"2^40*2*40 = {2**40 * 2 * 40}"),
+    (10**12, f"2^{10**12}*2*{10**12} > 2^27 = {2**27}"),  # 2^m is never formed
+], ids=["m=40", "m=10^12"])
+def test_net_refuses_a_point_set_over_budget_before_building_it(tmp_path, capsys, monkeypatch,
+                                                                m, cells):
+    monkeypatch.delenv("DECLUSTER_MAX_CELLS", raising=False)
+    monkeypatch.setattr(decluster.gf.PrimePowerField, "map_all", _refuse("net digits"))
+    monkeypatch.setattr(decluster.schemegen, "pascal_power_generators",
+                        _refuse("generator matrices"))
+    out = tmp_path / "net.json"
+    code, stdout, stderr = run(capsys, "net", "--base", "2", "--m", str(m), "--dim", "2",
+                               "--out", str(out))
+    assert code == 1 and stderr == "" and not out.exists()
+    assert stdout == (f"FAIL: b^m*d*m = {cells} cells exceeds the cell budget 100000000 "
+                      "(raise DECLUSTER_MAX_CELLS to override)\n")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_max_cells_help_names_the_variable_it_overrides(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    option = next(a for a in sub.choices[command]._actions if a.dest == "max_cells")
+    assert "overrides DECLUSTER_MAX_CELLS" in option.help
 
 
 # -- malformed scheme documents ------------------------------------------------------

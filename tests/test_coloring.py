@@ -207,6 +207,34 @@ def test_cyclic_bad_skews_rejected():
         make_baseline("cyclic", 4, 2, skews=(2,))
 
 
+def _cyclic_skews(M, d):
+    """Every skew in [-M, 2M] on every axis, the other axes' skews drawn from it too."""
+    rng = np.random.default_rng(M)
+    for axis in range(d - 1):
+        for s in range(-M, 2 * M + 1):
+            skews = rng.integers(-M, 2 * M + 1, size=d - 1).tolist()
+            skews[axis] = s
+            yield tuple(skews)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cyclic_skew_rule_agrees_with_verify_latin(d):
+    # make_baseline decides by gcd(s_i, M) = 1 without checking rows; the
+    # rows of the map it would build decide the same, and name the same axis
+    for M in range(1, 31):
+        u = np.arange(1, M + 1)
+        for skews in _cyclic_skews(M, d):
+            total = sum(s * x for s, x in zip(skews, np.ix_(*[u] * (d - 1))))
+            anchor = (total % M + 1).reshape(-1)
+            check = verify_latin(LatinColoring(M=M, d=d, anchor=anchor))
+            if check.ok:
+                scheme = make_baseline("cyclic", M, d, skews=skews)
+                assert list(scheme.coloring.anchor) == anchor.tolist()
+            else:
+                with pytest.raises(ParameterError, match=rf"skews .*\(axis {check.axis}:"):
+                    make_baseline("cyclic", M, d, skews=skews)
+
+
 def test_random_baseline_deterministic():
     a = make_baseline("random", 7, 2, seed=11)
     b = make_baseline("random", 7, 2, seed=11)

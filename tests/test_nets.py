@@ -263,14 +263,22 @@ def test_net_from_generators_rejects_bad_matrices():
 
 
 def _points_without_gate(gens):
-    """The point set net_from_generators builds, made here without its gate."""
+    """The point set net_from_generators builds, made here without its gate
+    and without the field's Z_p kernel: from tables of scalar ``mul`` and of
+    coefficient-wise addition."""
     fld, m, d = gens.field, gens.m, gens.d
-    ks = np.arange(fld.q**m, dtype=np.int64)
-    index_digits = (ks[:, None] // fld.q ** np.arange(m, dtype=np.int64)) % fld.q
+    q = fld.q
+    times = np.array([[fld.mul(a, b) for b in range(q)] for a in range(q)])
+    coeffs = np.array([fld.coeffs(a) for a in range(q)])
+    plus = (coeffs[:, None] + coeffs[None, :]) % fld.p @ fld.p ** np.arange(fld.e)
+    ks = np.arange(q**m, dtype=np.int64)
+    index_digits = (ks[:, None] // q ** np.arange(m, dtype=np.int64)) % q
     digits = np.zeros((len(ks), d, m), dtype=np.int64)
     for j, mat in enumerate(gens.matrices):
-        digits[:, j, :] = fld.matvec(mat, index_digits)
-    return DigitalNet(params=NetParams(b=fld.q, m=m, d=d), digits=digits)
+        for r, row in enumerate(mat):
+            for c, entry in enumerate(row):
+                digits[:, j, r] = plus[digits[:, j, r], times[entry, index_digits[:, c]]]
+    return DigitalNet(params=NetParams(b=q, m=m, d=d), digits=digits)
 
 
 def _draw_matrices(draw, q, d, m):

@@ -91,7 +91,7 @@ def cmd_net(args) -> int:
     except DeclusterError as exc:
         print(f"FAIL: {exc}")
         return 1
-    check = verify_net(net, 0)  # reproduce the construction gate for the record
+    check = verify_net(net, 0)  # the one count of the points, for any base
     if not check.ok:
         print(
             f"FAIL: interval levels={check.violation.levels} "

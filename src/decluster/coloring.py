@@ -304,6 +304,15 @@ def coloring_from_net(net: DigitalNet, M: int) -> LatinColoring:
     return coloring
 
 
+def check_anchor_budget(M: int, d: int) -> None:
+    """Refuse an anchor map of M^(d-1) cells beyond numpy's axes or the cell budget."""
+    if M > 1:
+        # verify and every scan read the map as an (M,)*(d-1) array; the axis
+        # limit also keeps M**(d-1) a number the budget message can print
+        check_axes(d - 1, d)
+        check_budget(M ** (d - 1), f"M^(d-1) = {M}^{d - 1}")
+
+
 def _linear_anchor(M: int, weights: Sequence[int], offset: int) -> np.ndarray:
     """Flat anchor map (sum(w_i * u_i) + offset) mod M + 1 over u in [1, M]^(d-1).
 
@@ -334,9 +343,13 @@ def make_baseline(
     random: the cyclic coloring scrambled by independent uniformly random
         relabelings of each axis's coordinate values (axis 1 acts on anchor
         values), which preserves row balance.  Deterministic per seed.
+
+    The M^(d-1) anchor cells are held to numpy's axis limit and the cell
+    budget (``check_anchor_budget``) before any anchor is built.
     """
     if M < 1 or d < 1:
         raise ParameterError(f"need M >= 1 and d >= 1, got M={M}, d={d}")
+    check_anchor_budget(M, d)
     warnings = (TRIVIAL_SINGLE_DISK,) if M == 1 else ()
     if kind == "checkerboard":
         if M != 2:

@@ -18,24 +18,30 @@ window) attaining the overall largest.  It forms prefix sums over axes 2..d
 once and takes the coordinate ranges of axes 2..d ("slabs") in chunks of a
 fixed number of elements, making slab indices per chunk, so memory does not
 grow with the number of slabs.  Per chunk, one vectorised
-inclusion-exclusion gives every slab's line sums along axis 1, and a
-maximum-subarray sweep of their prefix sums (Bentley, Programming Pearls,
-CACM 1984) gives the best axis-1 range of every window at once, for both
-signs in one pass: all windows share the prefix index p = W - 1, so a
-window's best range lies left of p, right of p, or across it, and running
-maxima and minima give all three for every window in O(N + W) per slab.
-Work is O(K * (N + W) * slabs), the prefix table holds K * P * (T+1)^(d-1)
+inclusion-exclusion gives every slab's line sums along axis 1.  Raw grids
+and colorings below N = M then take a maximum-subarray sweep of their
+prefix sums (Bentley, Programming Pearls, CACM 1984), which gives the best
+axis-1 range of every window at once, for both signs in one pass: all
+windows share the prefix index p = W - 1, so a window's best range lies
+left of p, right of p, or across it, and running maxima and minima give all
+three for every window in O(N + W) per slab.  Work is
+O(K * (N + W) * slabs), the prefix table holds K * P * (T+1)^(d-1)
 integers, and ties are resolved across all chunks, not within one.
 
-On a latin coloring four facts, each proved in ``_scan_boxes`` or
-``disc_report``, cut the scan to a size that stops growing with N:
+On a latin coloring four facts, each proved in ``_scan_boxes``,
+``_spread_first`` or ``disc_report``, cut the scan to a size that stops
+growing with N:
 
 - (a) one period of axis-1 rows: the line sums repeat with period M and
   sum to 0 over one period, so P = M rows suffice;
 - (b) fewer slabs: for a coloring that passes ``verify_latin``, only
   trailing ranges with lo <= M and length < M are scanned;
-- (c) flat windows: from N >= 2M - 2 every window's best is max S - min S
-  of the prefix sums over one period, with no sweep;
+- (c) spread first: at every N >= M, disc+ = disc = G, the largest
+  one-period spread max S - min S of a slab's prefix sums S.  The witness
+  and every window that reaches G are read off the slabs of spread G in
+  closed form, with no sweep; only windows that no such slab reaches (from
+  N >= 2M - 2 there are none) are swept, over the slabs whose spread
+  exceeds the window's floor;
 - (d) clamped extent: the lex-min witness has lo <= M and sides < M, so a
   verified coloring at N > 2M - 2 is scanned at N = 2M - 2 and reported
   at N.
@@ -76,6 +82,9 @@ from .nets import DigitalNet
 # its fixed cost, few enough to stay in cache and, at 64 KiB, below the size
 # at which glibc's malloc serves (and returns) memory by mmap on every call.
 _CHUNK_ELEMS = 8192
+# Slabs in the first sweep of a chunk revisited for windows below the largest
+# spread: the widest few raise the windows' floors before the rest are filtered.
+_FIRST_SWEEP = 16
 
 
 @dataclass(frozen=True)
@@ -503,14 +512,11 @@ def _scan_boxes(
     is 0, every box ties at 0, and the lex-min box, [1, 1] on every axis,
     has a kept slab.
 
-    (c) Flat windows.  When the extent wraps and N >= 2P - 2, every window
-    [s, s+N] holds, for any residues a != b mod P, prefix indices i < j
-    with i = a and j = b (mod P): the first i = a from s on is at most
-    s + P - 1, and the first j = b after it at most i + P - 1 <= s + N.
-    Pairs with a = b give S(j) - S(i) = 0, and one exists (i = s, j = s +
-    P when P >= 2, j = s + 1 when P = 1).  So each window's best pair, for
-    either sign, is max S - min S over one period, the same in every
-    window; no sweep runs, and only ties read window rows.
+    (c) Spread first.  When the extent wraps, K = 1, W = P and N >= P,
+    ``_spread_first`` takes the peaks and keys from each slab's spread
+    max S - min S over one period instead of sweeping every slab; its
+    docstring has the proof.  Otherwise every chunk is swept by
+    ``_window_best`` and its ties resolved by ``_lex_min_box``.
     """
     P, d, K, W = labels.shape[0], labels.ndim, weights.shape[0], windows
     N, T = (P if extent is None else extent), labels.shape[-1]
@@ -520,7 +526,7 @@ def _scan_boxes(
     wrap = N + W - 1 > P
     if wrap:
         order %= P
-    flat_windows = wrap and N >= 2 * P - 2
+    spread_first = wrap and K == 1 and W == P and N >= P
 
     # prefix[x_1, j_2, .., j_d, k]: plane k's weight on row x_1 over the
     # trailing coordinates [1, j_i] (index 0 = none).  Axis 1 comes first so
@@ -542,10 +548,10 @@ def _scan_boxes(
     pair_hi += 1
     ranges = len(pair_lo)
     slabs = ranges ** (d - 1)
-    step = max(1, _CHUNK_ELEMS // (K * ((P if flat_windows else N + W - 1) + 1)))
+    step = max(1, _CHUNK_ELEMS // (K * ((P if spread_first else N + W - 1) + 1)))
 
-    tracks = [[np.full(K * W, np.iinfo(np.int64).min, dtype=np.int64), None] for _ in signs]
-    for start in range(0, slabs, step):
+    def chunk(start: int):
+        """Axis-1 prefix sums (P + 1, slabs, K) of slabs start.., and their trailing corners."""
         rest = np.arange(start, min(start + step, slabs), dtype=np.int64)
         lo_t, hi_t = [], []
         for _ in range(d - 1):
@@ -568,23 +574,165 @@ def _scan_boxes(
         np.cumsum(lines, axis=0, out=sums[1:])
         if wrap and sums[P].any():
             raise AssertionError("a plane does not sum to 0 over one period of axis-1 rows")
-        if flat_windows:
-            spread = sums[:P].max(axis=0) - sums[:P].min(axis=0)
-            bests = np.broadcast_to(spread, (len(signs), W) + spread.shape)
-        else:  # window w at row W - 1 - w
-            bests = _window_best(sums[order] if wrap else sums, W, signs)
+        return sums, lo_t, hi_t
+
+    starts = range(0, slabs, step)
+    if spread_first:
+        return _spread_first(chunk, starts, order, N, signs)
+    tracks = [[np.full(K * W, np.iinfo(np.int64).min, dtype=np.int64), None] for _ in signs]
+    for start in starts:
+        sums, lo_t, hi_t = chunk(start)
+        bests = _window_best(sums[order] if wrap else sums, W, signs)  # window w at row W - 1 - w
         for sign, track, best in zip(signs, tracks, bests):
             top = best.max(axis=1)[::-1].T.reshape(-1)
             peak, so_far = int(top.max()), int(track[0].max())
             if peak > so_far:
                 track[1] = _lex_min_box(sums, order, best == peak, peak, sign, lo_t, hi_t)
             elif peak == so_far:  # a tie: only slabs that could still precede the kept key
-                hits = (best == peak) & _may_precede(lo_t, track[1][0], len(rest))[:, None]
+                hits = (best == peak) & _may_precede(lo_t, track[1][0], len(sums[0]))[:, None]
                 if hits.any():
                     key = _lex_min_box(sums, order, hits, peak, sign, lo_t, hi_t)
                     track[1] = min(track[1], key)
             np.maximum(track[0], top, out=track[0])
     return tracks
+
+
+def _first_at(mask: np.ndarray, at: np.ndarray, ahead: int = 0) -> np.ndarray:
+    """Per row r, ``at`` at the first row t >= r + ahead with ``mask[t mod P]``.
+
+    ``mask`` has P rows (axis -2) read with period P and a True in every
+    column; ``at`` (broadcast to it) must not decrease along rows, and rows
+    of the next period read ``at + P``.  The first such t then gives the
+    least value over t >= r + ahead, a suffix minimum.
+    """
+    P = mask.shape[-2]
+    first = np.where(mask, at, 4 * P)
+    first = np.minimum.accumulate(first[..., ::-1, :], axis=-2)[..., ::-1, :]
+    np.minimum(first, first[..., :1, :] + P, out=first)  # none left in this period: the next
+    if ahead:
+        first = np.concatenate((first[..., 1:, :], first[..., :1, :] + P), axis=-2)
+    return first
+
+
+def _spread_keys(S: np.ndarray, N: int, signs: tuple[int, ...], lo_t, hi_t) -> tuple:
+    """Windows where sign * S reaches its spread on some column, and the lex-min key there.
+
+    ``S`` holds one period (P rows) of the prefix sums of columns that all
+    share their spread.  In window s a column's lex-min pair reaching the
+    spread runs from the first start (a minimum of sign * S) at or after s
+    to the first end (a maximum) after it, if that lies within s + N
+    (``disc_report`` (c)).  Returns the reached windows, indexed [sign, s],
+    and per sign the lex-min (lo, hi, P - s) over them.
+    """
+    P = len(S)
+    ends = np.stack((S == S.min(axis=0), S == S.max(axis=0)))  # the starts of sign 1, of sign -1
+    rise = ends[[(1 - sign) // 2 for sign in signs]]
+    fall = ends[[(1 + sign) // 2 for sign in signs]]
+    s = np.arange(P)[:, None]
+    lo_1 = _first_at(rise, s) - s + 1
+    hi_1 = _first_at(rise, _first_at(fall, s, 1)) - s
+    reach = hi_1 <= N
+    keys = [_lex_first(*args, lo_t, hi_t) for args in zip(lo_1, hi_1, reach)]
+    return reach.any(axis=2), keys
+
+
+def _lex_first(lo_1: np.ndarray, hi_1: np.ndarray, reach: np.ndarray, lo_t, hi_t):
+    """Lex-min (lo, hi, P - s) over the flagged ``reach[s, column]`` (at least one).
+
+    Row s, column c stands for the box with axis-1 range [lo_1, hi_1][s, c]
+    and trailing corners lo_t[.][c], hi_t[.][c] in window s of P.  Filters
+    by lo_1 first, then sorts only the columns left.
+    """
+    P = len(reach)
+    first = lo_1[reach].min()
+    hits = reach & (lo_1 == first)
+    cols = np.flatnonzero(hits.any(axis=0))
+    hits, hi_1 = hits[:, cols], hi_1[:, cols]
+    end = np.where(hits, hi_1, hi_1.max()).min(axis=0)  # per column the least hi_1, then last s
+    index = P - np.where(hits & (hi_1 == end), np.arange(P)[:, None], -1).max(axis=0)
+    lo_c, hi_c = [lo[cols] for lo in lo_t], [hi[cols] for hi in hi_t]
+    pick = np.lexsort([index, *hi_c[::-1], end, *lo_c[::-1]])[0]
+    lo = (int(first), *(int(c[pick]) for c in lo_c))
+    hi = (int(end[pick]), *(int(c[pick]) for c in hi_c))
+    return lo, hi, int(index[pick])
+
+
+def _spread_first(chunk, starts, order: np.ndarray, N: int, signs: tuple[int, ...]) -> list:
+    """``_scan_boxes`` for one plane under W = P windows of N >= P cells, from the spreads.
+
+    Window s is the prefix indices [s, s + N], s = 0..P-1 (window w = P - 1
+    - s).  A slab's prefix sums S have period P (fact (a)), so, as
+    ``disc_report`` (c) proves with P = M, both signs peak at G, the largest
+    spread max S - min S, and the windows reaching G and the lex-min keys
+    there come from the slabs of spread G (G-slabs) in closed form
+    (``_spread_keys``).
+
+    Pass 1 computes each chunk's spreads and holds the columns of the
+    running maximum's G-slabs, settling them by ``_spread_keys`` whenever
+    they would pass half of ``_CHUNK_ELEMS`` elements (its temporaries
+    stack two such arrays), and keeps one number per chunk: its largest
+    spread.  A window no G-slab reaches has a peak below G, and only slabs
+    whose spread exceeds the window's current floor can raise it, so pass 2
+    revisits chunks in descending order of their largest spread, sweeps
+    those slabs with ``_window_best`` (the widest spreads first, so that
+    the floors rise before the rest are filtered), and stops once no chunk
+    can beat the lowest floor.
+    """
+    P = len(order) - N  # = W
+    room = max(1, _CHUNK_ELEMS // (2 * P))  # G-slab columns per ``_spread_keys`` call
+    G, tops, held = -1, [], []  # held: G-slab columns, corners not yet settled
+    reached = np.zeros((len(signs), P), dtype=bool)  # [sign, s]
+    keys = [None] * len(signs)
+
+    def settle():
+        if held:
+            S = np.concatenate([h[0] for h in held], axis=1)
+            corners = [[np.concatenate(c) for c in zip(*(h[n] for h in held))] for n in (1, 2)]
+            hit, found = _spread_keys(S, N, signs, *corners)
+            reached[:] |= hit
+            keys[:] = [key if old is None else min(old, key) for old, key in zip(keys, found)]
+            held.clear()
+
+    for start in starts:
+        sums, lo_t, hi_t = chunk(start)
+        S = sums[:P, :, 0]
+        spread = S.max(axis=0) - S.min(axis=0)
+        tops.append(int(spread.max()))
+        if tops[-1] < G:
+            continue
+        if tops[-1] > G:
+            G = tops[-1]
+            held.clear()
+            reached[:] = False
+            keys[:] = [None] * len(signs)
+        g = np.flatnonzero(spread == G)
+        for at in range(0, len(g), room):
+            part = g[at : at + room]
+            if sum(h[0].shape[1] for h in held) + len(part) > room:
+                settle()
+            held.append((S[:, part], [lo[part] for lo in lo_t], [hi[part] for hi in hi_t]))
+    settle()
+
+    peaks = np.where(reached, G, np.iinfo(np.int64).min)  # [sign, s]
+    batch = max(1, _CHUNK_ELEMS // len(order))
+    for c in np.argsort(tops, kind="stable")[::-1]:
+        if tops[c] <= peaks.min():
+            break
+        if starts[c] != start:  # pass 1 ends holding the last chunk
+            start = starts[c]
+            sums = chunk(start)[0]
+        S = sums[:, :, 0]
+        spread = S[:P].max(axis=0) - S[:P].min(axis=0)
+        cols = np.argsort(-spread, kind="stable")
+        size = _FIRST_SWEEP
+        while True:
+            cols = cols[spread[cols] > peaks.min()]  # a floor raised by the last sweep drops more
+            if not len(cols):
+                break
+            best = _window_best(S[order[:, None], cols[:size]], P, signs)
+            np.maximum(peaks, best.max(axis=2), out=peaks)
+            cols, size = cols[size:], batch
+    return [(p[::-1].copy(), key) for p, key in zip(peaks, keys)]
 
 
 def _scan_input(source, extent: int, M: int | None, max_cells: int | None):
@@ -663,19 +811,39 @@ def disc_report(
         a cell of color c (deviation M - 1) and, for M >= 2, one of another
         color (deviation -1).  M = 1 is the period-1 case.  So only slabs
         with lo <= M and sides < M are scanned.
-    (c) From N >= 2M - 2 each color's figure is max S - min S of its
-        slab's prefix sums over one period, with no sweep, and the
-        per-color vectors are constant.
+    (c) Spread first.  Write S for a slab's prefix sums along axis 1
+        (period M by (a)), a slab's spread for max S - min S, and G for the
+        largest spread.  Then, at every N >= M,
+
+            disc+ = disc = G.
+
+        A box's sum is S(j) - S(i) for prefix indices i < j of its window,
+        at most the slab's spread, for the plane and its negation alike.
+        Conversely, on a slab of spread G the M windows start at every
+        residue, one of them at a minimum of S, and that window holds the
+        next maximum of S, at most M - 1 <= N indices on; the window that
+        starts at a maximum holds the next minimum.  So both signs peak at
+        exactly G, for every LatinColoring at N >= M.
+
+        Witness rule.  A pair reaches G only on a slab of spread G (a
+        G-slab), running from a minimum of S to a maximum (sign +) or from
+        a maximum to a minimum (sign -).  In the window [s, s + N] the
+        lex-min such pair takes i, the first minimum at or after s, and j,
+        the first maximum after i, and exists iff j <= s + N: the first
+        maximum after i does not decrease with i, so no later i does better.
+        Each sign's lex-min witness over all windows, and every window that
+        reaches G, are therefore read off the G-slabs in closed form
+        (``_spread_first``).  A window no G-slab reaches has a per-color
+        figure below G; only those windows are swept, over the slabs whose
+        spread exceeds the window's floor.  From N >= 2M - 2 every window
+        is reached (i - s and j - i are at most M - 1), so the per-color
+        vectors are constant and nothing is swept.
     (d) Clamped extent: the scan runs at N' = min(N, max(2M - 2, 1)) and
-        reports N.  Along axis 1: for N >= 2M - 2 the windows are flat by
-        (c), and the lex-min best pair of a window [s, s+N] starts at the
-        first i >= s with S(i) = min S (i <= s + M - 1, as S has period M)
-        and ends at the first j > i with S(j) = max S (j <= i + M - 1, as
-        S(i + M) = S(i)), with min and max swapped for the negation, or at
-        j = s + 1 when S is constant; so j - s <= max(2M - 2, 1), and a
-        window of N' cells has the same best and the same lex-min axis-1
-        range.  This
-        needs only (a)'s premise, so it holds for every latin coloring.
+        reports N.  Along axis 1: for N >= 2M - 2, by (c), every window's
+        figure is G and its lex-min pair has j - s <= 2M - 2 (with j = s +
+        1 when S is constant, M = 1), so a window of N' cells has the same
+        figure and the same lex-min axis-1 range.  This needs only (a)'s
+        premise, so it holds for every latin coloring.
         Along axes 2..d, for a coloring that passes ``verify_latin``, the
         slabs kept by (b) have lo <= M and hi <= lo + M - 2 <= 2M - 2 (or
         the unit range when M = 1), so the trailing extent is T = N'.  A

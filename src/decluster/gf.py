@@ -154,10 +154,10 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
 class PrimePowerField:
     """Arithmetic in GF(p^e) on integer-encoded elements.
 
-    Elements are integers in ``range(q)``; ``coeffs`` gives an element's
-    coefficient vector.  ``mul`` and ``pow`` are exact, and ``expand`` and
-    ``map_all`` apply GF(q)-linear maps over Z_p.  Do not mix elements of
-    distinct fields.
+    Elements are integers in ``range(q)``; the base-p digits of an element,
+    lowest first, are its coefficient vector.  ``mul`` and ``pow`` are
+    exact, and ``expand`` and ``map_all`` apply GF(q)-linear maps over Z_p.
+    Do not mix elements of distinct fields.
     """
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
@@ -193,11 +193,6 @@ class PrimePowerField:
 
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector of element ``a``, lowest degree first."""
-        self._check(a)
-        return _encoding_to_coeffs(a, self.p, self.e)
 
     def _check(self, a: int) -> int:
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:

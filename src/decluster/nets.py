@@ -9,10 +9,10 @@ arithmetic -- no floats anywhere.
 Construction is by generator matrices over GF(q): coordinate j of point k
 is C_j times the base-q digit vector of k.  Composite bases are assembled
 digit-by-digit from coprime prime-power components via the Chinese
-remainder theorem.  Every constructor checks the balance property before
-returning and refuses to hand out a defective point set: generator nets by
-the rank of their matrices (``rank_gate``), residue compositions by counting
-points in every elementary interval (``verify_net``).
+remainder theorem.  A generator net is checked by the rank of its matrices
+(``rank_gate``) before it is returned, and a residue composition of
+balanced components is balanced (proof in ``crt_compose``); ``verify_net``
+counts the points in every elementary interval, independently of both.
 
 The scheme path needs only a net's anchor map (which axis-1 cell holds the
 one point on each line) and builds no point set: for a generator net it is
@@ -488,6 +488,13 @@ def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
     output digits correspond componentwise under the residue bijection
     Z_b = Z_q1 x ... x Z_qu, applied digit by digit.  A single component is
     passed through unchanged.
+
+    The result is then balanced at t=0, so it is not counted here: a point
+    lies in the base-b elementary interval with levels (l_1..l_d) and given
+    leading digits exactly when, for every i, its component-i point lies in
+    the base-q_i interval with the same levels and those digits mod q_i.
+    Points and tuples of component points correspond one to one, so the
+    interval holds the product of one point per component, which is one.
     """
     if not components:
         raise ParameterError("need at least one component")
@@ -517,18 +524,7 @@ def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
             {"b": c.params.b, **c.provenance} for c in components
         ],
     }
-    net = DigitalNet(params=NetParams(b=b, m=m, d=d, t=0), digits=out, provenance=provenance)
-    check = verify_net(net, 0)
-    if not check.ok:
-        raise NetConstructionError(
-            f"residue composition to base {b} produced an unbalanced point set: "
-            f"interval levels={check.violation.levels} offsets={check.violation.offsets} "
-            f"holds {check.found_points} points, expected {check.expected_points}",
-            interval=check.violation,
-            found=check.found_points,
-            expected=check.expected_points,
-        )
-    return net
+    return DigitalNet(params=NetParams(b=b, m=m, d=d, t=0), digits=out, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .coloring import (
     DEGENERATE_TWO_DIM,
     LatinColoring,
     Scheme,
-    check_axes,
+    check_anchor_budget,
     make_baseline,
     verify_latin,
 )
@@ -99,10 +99,11 @@ def build_net(b: int, m: int, d: int) -> DigitalNet:
     """Balanced base-b net: per-prime-power generator nets joined by residues.
 
     Every prime-power factor q of b gets its own generator-matrix net over
-    GF(q); the digitwise residue bijection assembles them into one base-b
-    point set, which is balance-checked before it is returned.  Its b^m d m
-    digit cells are held to the cell budget (``errors.check_budget``) before
-    any matrix or point is built.
+    GF(q), checked by the rank gate; the digitwise residue bijection
+    assembles them into one base-b point set, balanced because its
+    components are (``crt_compose``).  ``verify_net`` counts it.  Its
+    b^m d m digit cells are held to the cell budget (``errors.check_budget``)
+    before any matrix or point is built.
     """
     NetParams(b=b, m=m, d=d)  # refuse b < 2, m < 0 and d < 1 before sizing the net
     formula = f"b^m*d*m = {b}^{m}*{d}*{m}"
@@ -162,10 +163,10 @@ def generate_scheme(
     (single disk / single row: every latin coloring coincides), and M=2 for
     the net-backed modes (the parity scheme is the two-disk construction).
 
-    The M^(d-1) anchor cells are held to the cell budget
-    (``errors.check_budget``) before any anchor is built, and a net-backed
-    anchor map is checked by ``verify_latin`` apart from the rank gate that
-    made it.
+    The M^(d-1) anchor cells are held to numpy's axis limit and the cell
+    budget (``coloring.check_anchor_budget``) before any anchor is built,
+    and a net-backed anchor map is checked by ``verify_latin`` apart from
+    the rank gate that made it.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}; choose from {MODES}")
@@ -173,11 +174,7 @@ def generate_scheme(
         raise ParameterError(f"disk count M={M} must be >= 1")
     if d < 1:
         raise ParameterError(f"dimension d={d} must be >= 1")
-    if M > 1:
-        # verify and every scan read the map as an (M,)*(d-1) array; the axis
-        # limit also keeps M**(d-1) a number the budget message can print
-        check_axes(d - 1, d)
-        check_budget(M ** (d - 1), f"M^(d-1) = {M}^{d - 1}")
+    check_anchor_budget(M, d)
     if mode == "checkerboard":
         return make_baseline("checkerboard", M, d)
     if mode == "cyclic":

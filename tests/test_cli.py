@@ -572,6 +572,28 @@ def test_net_command(capsys):
     assert "intervals_checked=" in stdout
 
 
+@pytest.mark.parametrize("base, m, dim, stdout", [
+    (6, 3, 3, "pass: base=6 m=3 d=3 points=216 intervals_checked=2160\n"),
+    (4, 3, 3, "pass: base=4 m=3 d=3 points=64 intervals_checked=640\n"),
+    (30, 2, 2, "pass: base=30 m=2 d=2 points=900 intervals_checked=2700\n"),
+], ids=["composite-6", "prime-power-4", "composite-30"])
+def test_net_command_counts_the_points_once(capsys, monkeypatch, base, m, dim, stdout):
+    # a composite base is composed by residues without a count of its own,
+    # so the command's check is the only one, as for a prime power
+    calls = []
+    verify_net = decluster.nets.verify_net
+
+    def count(*args):
+        calls.append(args)
+        return verify_net(*args)
+
+    monkeypatch.setattr(decluster.nets, "verify_net", count)
+    monkeypatch.setattr(decluster.cli, "verify_net", count)
+    code, out, _ = run(capsys, "net", "--base", str(base), "--m", str(m), "--dim", str(dim))
+    assert (code, out) == (0, stdout)
+    assert len(calls) == 1
+
+
 def test_net_command_writes_file(tmp_path, capsys):
     out = tmp_path / "net.json"
     code, stdout, _ = run(

@@ -28,7 +28,12 @@ from decluster.coloring import (
     scheme_to_json_bytes,
     verify_latin,
 )
-from decluster.errors import InvalidNetError, ParameterError, SchemeFormatError
+from decluster.errors import (
+    BudgetExceededError,
+    InvalidNetError,
+    ParameterError,
+    SchemeFormatError,
+)
 from decluster.nets import (
     DigitalNet,
     NetParams,
@@ -248,6 +253,35 @@ def test_single_disk_warning():
     scheme = make_baseline("cyclic", 1, 2)
     assert TRIVIAL_SINGLE_DISK in scheme.warnings
     assert scheme.disk_of((9, 4)) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, M, d", [("cyclic", 100_000, 3), ("random", 100_000, 3), ("checkerboard", 2, 28)]
+)
+def test_make_baseline_refuses_an_anchor_map_over_budget_before_building_it(
+    monkeypatch, kind, M, d
+):
+    def refuse(*args):
+        raise AssertionError("built an anchor map before checking the budget")
+
+    monkeypatch.delenv("DECLUSTER_MAX_CELLS", raising=False)
+    monkeypatch.setattr(coloring, "_linear_anchor", refuse)
+    with pytest.raises(BudgetExceededError) as err:
+        make_baseline(kind, M, d)
+    cells = M ** (d - 1)
+    assert str(err.value).startswith(
+        f"M^(d-1) = {M}^{d - 1} = {cells} cells exceeds the cell budget 100000000"
+    )
+
+
+def test_make_baseline_refuses_more_anchor_axes_than_numpy_has(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built an anchor map before checking the axes")
+
+    monkeypatch.setattr(coloring, "_linear_anchor", refuse)
+    limit = coloring.MAX_AXES
+    with pytest.raises(ParameterError, match=f"d={limit + 2} needs arrays of {limit + 1} axes"):
+        make_baseline("cyclic", 2, limit + 2)
 
 
 def test_unknown_baseline_kind():

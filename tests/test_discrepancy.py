@@ -395,16 +395,38 @@ def _latin_vs_grid(source, N, positive_only):
 def test_latin_window_path_matches_grid_path(mode, d, positive_only, data):
     # A raw grid is always scanned as M planes with one window, so it is the
     # oracle for the one-plane, M-window path a latin coloring takes at N >= M.
-    top = {1: 9, 2: 7, 3: 4, 4: 3}[d]
-    M = 2 if mode == "checkerboard" else data.draw(st.integers(1, top), label="M")
+    scheme = _draw_latin(mode, d, st.integers(1, {1: 9, 2: 7, 3: 4, 4: 3}[d]), data)
+    M = scheme.M
+    N = data.draw(st.integers(M, 3 * M + 1), label="N")  # below 2M - 2 and in the flat regime
+    latin, grid = _latin_vs_grid(scheme, N, positive_only)
+    assert latin == grid
+
+
+def _draw_latin(mode, d, disks, data):
+    """A scheme of the mode with M drawn from ``disks``; "skewed" is a tie-heavy cyclic one."""
+    M = 2 if mode == "checkerboard" else data.draw(disks, label="M")
     if mode == "skewed":  # tie-heavy: every color class a skewed diagonal family
         units = [a for a in range(1, M + 1) if math.gcd(a, M) == 1]
         skews = data.draw(st.lists(st.sampled_from(units), min_size=d - 1, max_size=d - 1))
-        scheme = make_baseline("cyclic", M, d, skews=skews)
-    else:
-        scheme = _scheme_or_none(M, d, mode)
-        assume(scheme is not None)
-    N = data.draw(st.integers(M, 3 * M + 1), label="N")  # below 2M - 2 and in the flat regime
+        return make_baseline("cyclic", M, d, skews=skews)
+    scheme = _scheme_or_none(M, d, mode)
+    assume(scheme is not None)
+    return scheme
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(MODES + ("skewed",)),
+    d=st.integers(min_value=2, max_value=3),
+    positive_only=st.booleans(),
+    data=st.data(),
+)
+def test_spread_first_matches_grid_path_at_larger_M(mode, d, positive_only, data):
+    # Windows that no slab of the largest spread reaches show up from about
+    # M = 16 on (random schemes), and from N = 2M - 2 every window is reached.
+    # M is drawn uniformly, so large M are as likely as small ones.
+    scheme = _draw_latin(mode, d, st.sampled_from(range(1, {2: 40, 3: 12}[d] + 1)), data)
+    N = data.draw(st.integers(scheme.M, 2 * scheme.M + 1), label="N")
     latin, grid = _latin_vs_grid(scheme, N, positive_only)
     assert latin == grid
 
@@ -444,6 +466,51 @@ def test_latin_window_ties_across_chunks(monkeypatch):
     monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", 64)
     for (scheme, N), want in zip(cases, wanted):
         assert _report_fields(disc_report(scheme, N)) == want
+
+
+@pytest.mark.parametrize("chunk", [discrepancy._CHUNK_ELEMS, 64])
+@pytest.mark.parametrize(
+    "M, d, mode, seed, N",
+    [(31, 2, "random", 1, 32), (32, 2, "cyclic", None, 32), (11, 3, "smallbase", None, 12)],
+    ids=["random-31", "cyclic-32", "smallbase-11-d3"],
+)
+def test_spread_first_reports_equal_the_grid_path(monkeypatch, chunk, M, d, mode, seed, N):
+    # random M=31: the one slab of the largest spread (153) misses some
+    # windows, whose peaks (down to 126) come from the sweep of the slabs
+    # above them; the other two reach every window from slabs of the spread.
+    # 64-element chunks hold a few slabs, so both passes cross many chunks.
+    scheme = generate_scheme(M, d, mode, seed=seed)
+    wanted = [_latin_vs_grid(scheme, N, positive_only)[1] for positive_only in (False, True)]
+    monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk)
+    for positive_only, want in zip((False, True), wanted):
+        assert _report_fields(disc_report(scheme, N, positive_only=positive_only)) == want
+    plus = [c["disc_plus_num"] for c in wanted[0]["per_color"]]
+    assert wanted[0]["disc_num"] == wanted[0]["disc_plus_num"] == max(plus)
+    assert (min(plus), max(plus)) == {"random": (126, 153)}.get(mode, (max(plus),) * 2)
+
+
+def test_spread_first_sweeps_only_windows_below_the_spread(monkeypatch):
+    swept, gathered = [], []
+    window_best, lex_min_box = discrepancy._window_best, discrepancy._lex_min_box
+
+    def count_columns(S, W, signs):
+        swept.append(S.shape[1])
+        return window_best(S, W, signs)
+
+    def count_gathers(*args):
+        gathered.append(args)
+        return lex_min_box(*args)
+
+    monkeypatch.setattr(discrepancy, "_window_best", count_columns)
+    monkeypatch.setattr(discrepancy, "_lex_min_box", count_gathers)
+    # cyclic M=32: the 17 slabs of the largest spread reach all 32 windows,
+    # so none of the 527 slabs is swept and no witness row is gathered
+    disc_report(make_baseline("cyclic", 32, 2), 32)
+    assert swept == [] and gathered == []
+    # random M=31: some windows lie below the spread; only slabs whose
+    # spread exceeds their floor are swept, and the witness needs no sweep
+    disc_report(generate_scheme(31, 2, "random", seed=1), 32)
+    assert 0 < sum(swept) < 100 and gathered == []
 
 
 def test_scan_refuses_rows_that_do_not_sum_to_zero_over_a_period():
@@ -739,12 +806,13 @@ def test_budget_guard_max_cells():
 
 
 def test_budget_guard_env_var(monkeypatch):
+    scheme = make_baseline("cyclic", 4, 2)  # make_baseline reads the budget too
     monkeypatch.setenv("DECLUSTER_MAX_CELLS", "10")
     with pytest.raises(BudgetExceededError):
-        disc_report(make_baseline("cyclic", 4, 2), 100)
+        disc_report(scheme, 100)
     monkeypatch.setenv("DECLUSTER_MAX_CELLS", "not a number")
     with pytest.raises(ParameterError):
-        disc_report(make_baseline("cyclic", 4, 2), 4)
+        disc_report(scheme, 4)
 
 
 def test_budget_counts_the_cells_the_latin_path_allocates():
@@ -793,9 +861,10 @@ def test_range_counter_and_witness_check_the_budget_before_the_grid(monkeypatch)
     monkeypatch.setattr(discrepancy, "color_grid", refuse)
     with pytest.raises(BudgetExceededError, match="2001\\^2 \\* 2"):
         RangeCounter(make_baseline("cyclic", 2, 2), 2000, max_cells=100)
+    big = make_baseline("cyclic", 3000, 2)  # its 3000 anchor cells are over the budget below
     monkeypatch.setenv("DECLUSTER_MAX_CELLS", "100")
     with pytest.raises(BudgetExceededError, match="3000 \\* 3001\\^1 \\* 1"):
-        find_positive_witness(make_baseline("cyclic", 3000, 2))
+        find_positive_witness(big)
 
 
 def test_witness_flip_fits_the_scan_budget(monkeypatch):

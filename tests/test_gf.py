@@ -27,9 +27,14 @@ def encode(f, coeffs):
     return sum(c * f.p**j for j, c in enumerate(coeffs))
 
 
+def coeffs(f, a):
+    """The coefficients of element a, lowest degree first: its base-p digits."""
+    return tuple(a // f.p**j % f.p for j in range(f.e))
+
+
 def add(f, a, b):
     """Field addition, coefficient by coefficient mod p."""
-    return encode(f, [(x + y) % f.p for x, y in zip(f.coeffs(a), f.coeffs(b))])
+    return encode(f, [(x + y) % f.p for x, y in zip(coeffs(f, a), coeffs(f, b))])
 
 
 def inv(f, a):
@@ -132,7 +137,7 @@ def test_element_index_bijection():
     for q in (2, 3, 4, 8, 9, 25, 27):
         f = field_for_order(q)
         for i in range(q):
-            assert encode(f, f.coeffs(i)) == i
+            assert encode(f, coeffs(f, i)) == i
 
 
 def test_mul_rejects_non_elements():
@@ -198,17 +203,17 @@ PRIME_POWERS_1024 = [q for q in range(2, 1025) if prime_power_decompose(q) is no
 
 def test_field_product_matches_polynomial_arithmetic():
     # expand([[c]]) is multiplication by c on coefficient vectors: applied to
-    # coeffs(b) it gives coeffs(mul(c, b)), for every prime power q <= 1024
+    # coeffs(f, b) it gives coeffs(f, mul(c, b)), for every prime power q <= 1024
     for q in PRIME_POWERS_1024:
         f = field_for_order(q)
         rng = random.Random(q)
         sample = range(q) if q <= 16 else [0, 1, q - 1, *rng.sample(range(2, q - 1), 13)]
-        coeffs = np.array([f.coeffs(b) for b in sample])
+        vecs = np.array([coeffs(f, b) for b in sample])
         for c in sample:
             lin = f.expand([[c]])
             assert lin.shape == (f.e, f.e)
-            got = coeffs @ lin.T % f.p
-            assert got.tolist() == [list(f.coeffs(f.mul(c, b))) for b in sample], (q, c)
+            got = vecs @ lin.T % f.p
+            assert got.tolist() == [list(coeffs(f, f.mul(c, b))) for b in sample], (q, c)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_1024)

@@ -269,7 +269,7 @@ def _points_without_gate(gens):
     fld, m, d = gens.field, gens.m, gens.d
     q = fld.q
     times = np.array([[fld.mul(a, b) for b in range(q)] for a in range(q)])
-    coeffs = np.array([fld.coeffs(a) for a in range(q)])
+    coeffs = np.arange(q)[:, None] // fld.p ** np.arange(fld.e) % fld.p  # base-p, lowest first
     plus = (coeffs[:, None] + coeffs[None, :]) % fld.p @ fld.p ** np.arange(fld.e)
     ks = np.arange(q**m, dtype=np.int64)
     index_digits = (ks[:, None] // q ** np.arange(m, dtype=np.int64)) % q

@@ -10,23 +10,20 @@ Every deviation is an integer multiple of 1/M, so all values are carried as
 integers scaled by M (``ScaledValue``) and every comparison is exact.
 
 One kernel, ``_scan_boxes``, does every all-boxes scan.  Given K integer
-weight planes on P axis-1 rows times [T]^(d-1), read with period P along
-axis 1, it returns, per plane and per axis-1 window of N cells (W windows,
-one step apart), the largest box sum of the plane and of its negation, each
-with the lexicographically smallest (lower corner, upper corner, plane and
-window) attaining the overall largest.  It forms prefix sums over axes 2..d
-once and takes the coordinate ranges of axes 2..d ("slabs") in chunks of a
-fixed number of elements, making slab indices per chunk, so memory does not
-grow with the number of slabs.  Per chunk, one vectorised
-inclusion-exclusion gives every slab's line sums along axis 1.  Raw grids
-and colorings below N = M then take a maximum-subarray sweep of their
-prefix sums (Bentley, Programming Pearls, CACM 1984), which gives the best
-axis-1 range of every window at once, for both signs in one pass: all
-windows share the prefix index p = W - 1, so a window's best range lies
-left of p, right of p, or across it, and running maxima and minima give all
-three for every window in O(N + W) per slab.  Work is
-O(K * (N + W) * slabs), the prefix table holds K * P * (T+1)^(d-1)
-integers, and ties are resolved across all chunks, not within one.
+weight planes on P axis-1 rows times [T]^(d-1), it returns the largest box
+sum of each plane and of its negation, each with the lexicographically
+smallest (lower corner, upper corner, plane) attaining the overall largest;
+a latin coloring's one plane is instead read with period P along axis 1
+under P windows of N >= P cells, and its figures are per window.  It forms
+prefix sums over axes 2..d once and takes the coordinate ranges of axes
+2..d ("slabs") in chunks of a fixed number of elements, making slab indices
+per chunk, so memory does not grow with the number of slabs.  Per chunk,
+one vectorised inclusion-exclusion gives every slab's line sums along axis
+1.  Raw grids and colorings below N = M then take a maximum-subarray sweep
+of each slab's prefix sums (Bentley, Programming Pearls, CACM 1984), for
+both signs in one pass: O(K * N * slabs) work in all.  The prefix table
+holds K * P * (T+1)^(d-1) integers, and ties are resolved across all
+chunks, not within one.
 
 On a latin coloring four facts, each proved in ``_scan_boxes``,
 ``_spread_first`` or ``disc_report``, cut the scan to a size that stops
@@ -40,8 +37,8 @@ growing with N:
   one-period spread max S - min S of a slab's prefix sums S.  The witness
   and every window that reaches G are read off the slabs of spread G in
   closed form, with no sweep; only windows that no such slab reaches (from
-  N >= 2M - 2 there are none) are swept, over the slabs whose spread
-  exceeds the window's floor;
+  N >= 2M - 2 there are none) are swept, all at once by the same scan
+  (``_window_best``), over the slabs whose spread exceeds their floor;
 - (d) clamped extent: the lex-min witness has lo <= M and sides < M, so a
   verified coloring at N > 2M - 2 is scanned at N = 2M - 2 and reported
   at N.
@@ -402,33 +399,28 @@ def _window_best(S: np.ndarray, W: int, signs: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _lex_min_box(
-    S: np.ndarray, order: np.ndarray, hits: np.ndarray, peak: int, sign: int, lo_t, hi_t
-) -> tuple:
-    """Lex-min (lo, hi, index) among the windows of one chunk flagged in ``hits``.
+def _lex_min_box(S: np.ndarray, hits: np.ndarray, peak: int, sign: int, lo_t, hi_t) -> tuple:
+    """Lex-min (lo, hi, k + 1) among the (slab, plane) columns of one chunk flagged in ``hits``.
 
-    Row t of the swept prefix sums is ``S[order[t]]``.  ``hits[s, slab, k]``
-    flags window [s, s+N] of plane k on one slab whose best pair of
-    sign * S reaches ``peak``.  Each flagged window's prefix sums are
-    gathered; its first left index i reaching ``peak``, then the first
-    right index j with sign * (S[j] - S[i]) = peak, give the window-relative
-    axis-1 range [i+1, j].  The index is k*W + w + 1 with w = W - 1 - s.
+    ``hits[slab, k]`` flags the columns of the prefix sums ``S`` whose best
+    pair of sign * S reaches ``peak``.  Each flagged column is gathered; its
+    first left index i reaching ``peak``, then the first right index j with
+    sign * (S[j] - S[i]) = peak, give the axis-1 range [i+1, j].
     """
-    W = hits.shape[0]
-    span = np.arange(len(order) - W + 1)
-    s, slab, k = np.nonzero(hits)
-    batch = max(1, _CHUNK_ELEMS // len(span))  # bounds the gathered windows
+    span = np.arange(len(S))
+    slab, k = np.nonzero(hits)
+    batch = max(1, _CHUNK_ELEMS // len(span))  # bounds the gathered columns
     best = None
-    for at in range(0, len(s), batch):
-        s_, slab_, k_ = s[at : at + batch], slab[at : at + batch], k[at : at + batch]
-        rows = S[order[s_[:, None] + span], slab_[:, None], k_[:, None]]
+    for at in range(0, len(slab), batch):
+        slab_, k_ = slab[at : at + batch], k[at : at + batch]
+        rows = S[span, slab_[:, None], k_[:, None]]
         if sign < 0:
             np.negative(rows, out=rows)
         reach = np.maximum.accumulate(rows[:, :0:-1], axis=1)[:, ::-1] - rows[:, :-1]
         i = np.argmax(reach == peak, axis=1)
         base = rows[np.arange(len(i)), i][:, None]
         j = np.argmax((rows - base == peak) & (span > i[:, None]), axis=1)
-        cols = [i + 1, *(lo[slab_] for lo in lo_t), j, *(hi[slab_] for hi in hi_t), k_ * W + W - s_]
+        cols = [i + 1, *(lo[slab_] for lo in lo_t), j, *(hi[slab_] for hi in hi_t), k_ + 1]
         pick = np.lexsort(cols[::-1])[0]
         key = tuple(int(c[pick]) for c in cols)
         best = key if best is None else min(best, key)
@@ -473,27 +465,35 @@ def _scan_boxes(
 
     Plane k gives cell x the integer weight ``weights[k, labels[x]]``, where
     ``labels`` is an int array of shape (P,) + (T,) * (d - 1) and ``weights``
-    a (K, labels) int64 table.  The scanned axis-1 extent has N + W - 1
-    cells (N = ``extent``, default P; N >= W and N + W - 1 >= P), and its
-    cell e (0-based) is row e mod P of ``labels``.  Window w is the N
-    consecutive axis-1 cells that end w cells before the last; a box in it
-    has axis-1 corners counted from the window's first cell.  The trailing
-    ranges ("slabs") are every [lo, hi] within [1, T] on each of axes 2..d,
-    or, with ``period``, only those with lo <= period and
-    hi - lo + 1 <= max(period - 1, 1).  Returns one (peaks, key) per entry of ``signs``: peaks[k*W +
-    w] is the largest box sum of sign * plane k in window w, and key the
-    lex-min (lo, hi, k*W + w + 1) attaining peaks.max(), with 1-based
-    inclusive corners.  The cell budget counts the prefix table,
-    P * (T + 1)^(d-1) * K cells, and is checked before any allocation.
-    The raw-grid, witness and geometric scans use P = T = N, one window
-    and every slab; ``disc_report`` uses the rest for latin colorings.
+    a (K, labels) int64 table.  A scan is one of two shapes:
 
-    (a) One period of rows.  When the extent wraps (N + W - 1 > P), every
-    plane must sum to 0 over the P rows of each axis-1 line; this is
-    checked per chunk.  A slab's line sums g then repeat with period P and
-    sum to 0 over one period, so its prefix sums S(t) = g(0) + .. + g(t-1)
-    satisfy S(t + P) = S(t) + 0: the prefix table holds P rows, and the
-    sweep reads S[t mod P].
+    - one window (W = 1) on the N = P axis-1 rows of ``labels``, for any K;
+    - one plane (K = 1) under W = P windows of N = ``extent`` >= P cells.
+      The scanned axis-1 extent has N + P - 1 cells, and its cell e
+      (0-based) is row e mod P of ``labels``.  Window w is the N
+      consecutive cells that end w cells before the last; a box in it has
+      axis-1 corners counted from the window's first cell.
+
+    The trailing ranges ("slabs") are every [lo, hi] within [1, T] on each
+    of axes 2..d, or, with ``period``, only those with lo <= period and
+    hi - lo + 1 <= max(period - 1, 1).  Returns one (peaks, key) per entry
+    of ``signs``: peaks[k*W + w] is the largest box sum of sign * plane k
+    in window w, and key the lex-min (lo, hi, k*W + w + 1) attaining
+    peaks.max(), with 1-based inclusive corners.  The cell budget counts
+    the prefix table, P * (T + 1)^(d-1) * K cells, and is checked before
+    any allocation.  The raw-grid, witness and geometric scans use one
+    window, P = T = N and every slab; ``disc_report`` uses the other shape
+    for latin colorings.
+
+    One window is swept slab by slab by ``_window_best`` and its ties
+    resolved by ``_lex_min_box``; P windows go to ``_spread_first``.
+
+    (a) One period of rows.  Under P windows every plane must sum to 0
+    over the P rows of each axis-1 line; this is checked per chunk.  A
+    slab's line sums g then repeat with period P and sum to 0 over one
+    period, so its prefix sums S(t) = g(0) + .. + g(t-1) satisfy
+    S(t + P) = S(t) + 0: the prefix table holds P rows, and the windows
+    read S[t mod P].
 
     (b) Fewer slabs.  ``period`` promises that every plane is balanced
     along each trailing axis too: the labels repeat with that period along
@@ -512,21 +512,20 @@ def _scan_boxes(
     is 0, every box ties at 0, and the lex-min box, [1, 1] on every axis,
     has a kept slab.
 
-    (c) Spread first.  When the extent wraps, K = 1, W = P and N >= P,
-    ``_spread_first`` takes the peaks and keys from each slab's spread
-    max S - min S over one period instead of sweeping every slab; its
-    docstring has the proof.  Otherwise every chunk is swept by
-    ``_window_best`` and its ties resolved by ``_lex_min_box``.
+    (c) Spread first.  Under P windows ``_spread_first`` takes the peaks
+    and keys from each slab's spread max S - min S over one period instead
+    of sweeping every slab; its docstring has the proof.
     """
     P, d, K, W = labels.shape[0], labels.ndim, weights.shape[0], windows
     N, T = (P if extent is None else extent), labels.shape[-1]
+    windowed = (W, N) != (1, P)
+    if windowed and not (K == 1 and W == P <= N):
+        raise ParameterError(
+            f"scan of {K} planes under {W} windows of {N} cells on {P} rows: "
+            "need one window on P rows, or one plane under P windows of >= P cells"
+        )
     check_axes(d + 1, d)  # the prefix table
     _check_scan_budget(P, T, d, K, max_cells)
-    order = np.arange(N + W)  # swept prefix index t reads prefix row order[t]
-    wrap = N + W - 1 > P
-    if wrap:
-        order %= P
-    spread_first = wrap and K == 1 and W == P and N >= P
 
     # prefix[x_1, j_2, .., j_d, k]: plane k's weight on row x_1 over the
     # trailing coordinates [1, j_i] (index 0 = none).  Axis 1 comes first so
@@ -548,7 +547,7 @@ def _scan_boxes(
     pair_hi += 1
     ranges = len(pair_lo)
     slabs = ranges ** (d - 1)
-    step = max(1, _CHUNK_ELEMS // (K * ((P if spread_first else N + W - 1) + 1)))
+    step = max(1, _CHUNK_ELEMS // (K * (P + 1)))
 
     def chunk(start: int):
         """Axis-1 prefix sums (P + 1, slabs, K) of slabs start.., and their trailing corners."""
@@ -572,26 +571,26 @@ def _scan_boxes(
                 lines -= term
         sums = np.zeros((P + 1,) + lines.shape[1:], dtype=np.int64)
         np.cumsum(lines, axis=0, out=sums[1:])
-        if wrap and sums[P].any():
+        if windowed and sums[P].any():
             raise AssertionError("a plane does not sum to 0 over one period of axis-1 rows")
         return sums, lo_t, hi_t
 
     starts = range(0, slabs, step)
-    if spread_first:
-        return _spread_first(chunk, starts, order, N, signs)
-    tracks = [[np.full(K * W, np.iinfo(np.int64).min, dtype=np.int64), None] for _ in signs]
+    if windowed:
+        return _spread_first(chunk, starts, P, N, signs)
+    tracks = [[np.full(K, np.iinfo(np.int64).min, dtype=np.int64), None] for _ in signs]
     for start in starts:
         sums, lo_t, hi_t = chunk(start)
-        bests = _window_best(sums[order] if wrap else sums, W, signs)  # window w at row W - 1 - w
+        bests = _window_best(sums, 1, signs)[:, 0]  # [sign, slab, k]
         for sign, track, best in zip(signs, tracks, bests):
-            top = best.max(axis=1)[::-1].T.reshape(-1)
+            top = best.max(axis=0)
             peak, so_far = int(top.max()), int(track[0].max())
             if peak > so_far:
-                track[1] = _lex_min_box(sums, order, best == peak, peak, sign, lo_t, hi_t)
+                track[1] = _lex_min_box(sums, best == peak, peak, sign, lo_t, hi_t)
             elif peak == so_far:  # a tie: only slabs that could still precede the kept key
-                hits = (best == peak) & _may_precede(lo_t, track[1][0], len(sums[0]))[:, None]
+                hits = (best == peak) & _may_precede(lo_t, track[1][0], len(best))[:, None]
                 if hits.any():
-                    key = _lex_min_box(sums, order, hits, peak, sign, lo_t, hi_t)
+                    key = _lex_min_box(sums, hits, peak, sign, lo_t, hi_t)
                     track[1] = min(track[1], key)
             np.maximum(track[0], top, out=track[0])
     return tracks
@@ -657,7 +656,7 @@ def _lex_first(lo_1: np.ndarray, hi_1: np.ndarray, reach: np.ndarray, lo_t, hi_t
     return lo, hi, int(index[pick])
 
 
-def _spread_first(chunk, starts, order: np.ndarray, N: int, signs: tuple[int, ...]) -> list:
+def _spread_first(chunk, starts, P: int, N: int, signs: tuple[int, ...]) -> list:
     """``_scan_boxes`` for one plane under W = P windows of N >= P cells, from the spreads.
 
     Window s is the prefix indices [s, s + N], s = 0..P-1 (window w = P - 1
@@ -678,7 +677,6 @@ def _spread_first(chunk, starts, order: np.ndarray, N: int, signs: tuple[int, ..
     the floors rise before the rest are filtered), and stops once no chunk
     can beat the lowest floor.
     """
-    P = len(order) - N  # = W
     room = max(1, _CHUNK_ELEMS // (2 * P))  # G-slab columns per ``_spread_keys`` call
     G, tops, held = -1, [], []  # held: G-slab columns, corners not yet settled
     reached = np.zeros((len(signs), P), dtype=bool)  # [sign, s]
@@ -714,6 +712,7 @@ def _spread_first(chunk, starts, order: np.ndarray, N: int, signs: tuple[int, ..
     settle()
 
     peaks = np.where(reached, G, np.iinfo(np.int64).min)  # [sign, s]
+    order = np.arange(N + P) % P  # swept prefix index t reads prefix row t mod P
     batch = max(1, _CHUNK_ELEMS // len(order))
     for c in np.argsort(tops, kind="stable")[::-1]:
         if tops[c] <= peaks.min():

@@ -9,10 +9,10 @@ arithmetic -- no floats anywhere.
 Construction is by generator matrices over GF(q): coordinate j of point k
 is C_j times the base-q digit vector of k.  Composite bases are assembled
 digit-by-digit from coprime prime-power components via the Chinese
-remainder theorem.  A generator net is checked by the rank of its matrices
-(``rank_gate``) before it is returned, and a residue composition of
-balanced components is balanced (proof in ``crt_compose``); ``verify_net``
-counts the points in every elementary interval, independently of both.
+remainder theorem.  Every constructor checks the balance property before
+returning and refuses to hand out a defective point set: generator nets by
+the rank of their matrices (``rank_gate``), residue compositions by counting
+points in every elementary interval (``verify_net``).
 
 The scheme path needs only a net's anchor map (which axis-1 cell holds the
 one point on each line) and builds no point set: for a generator net it is
@@ -488,13 +488,20 @@ def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
     output digits correspond componentwise under the residue bijection
     Z_b = Z_q1 x ... x Z_qu, applied digit by digit.  A single component is
     passed through unchanged.
+    """
+    return crt_compose_counted(components, b)[0]
 
-    The result is then balanced at t=0, so it is not counted here: a point
-    lies in the base-b elementary interval with levels (l_1..l_d) and given
-    leading digits exactly when, for every i, its component-i point lies in
-    the base-q_i interval with the same levels and those digits mod q_i.
-    Points and tuples of component points correspond one to one, so the
-    interval holds the product of one point per component, which is one.
+
+def crt_compose_counted(
+    components: Sequence[DigitalNet], b: int
+) -> tuple[DigitalNet, NetCheck | None]:
+    """``crt_compose``, and its count of the composed net's points at t=0.
+
+    A composition of two or more components is counted by ``verify_net``
+    and refused with NetConstructionError unless it is balanced, so a
+    component that is not balanced never yields a net stamped t=0; the
+    passing check is returned for reuse.  A single component is passed
+    through uncounted (None).
     """
     if not components:
         raise ParameterError("need at least one component")
@@ -508,7 +515,7 @@ def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
         raise ParameterError(f"component bases {bases} multiply to {prod}, not {b}")
     weights = _crt_weights(bases)
     if len(components) == 1:
-        return components[0]
+        return components[0], None
 
     n = b**m
     ks = np.arange(n, dtype=np.int64)
@@ -524,7 +531,18 @@ def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
             {"b": c.params.b, **c.provenance} for c in components
         ],
     }
-    return DigitalNet(params=NetParams(b=b, m=m, d=d, t=0), digits=out, provenance=provenance)
+    net = DigitalNet(params=NetParams(b=b, m=m, d=d, t=0), digits=out, provenance=provenance)
+    check = verify_net(net, 0)
+    if not check.ok:
+        raise NetConstructionError(
+            f"residue composition to base {b} produced an unbalanced point set: "
+            f"interval levels={check.violation.levels} offsets={check.violation.offsets} "
+            f"holds {check.found_points} points, expected {check.expected_points}",
+            interval=check.violation,
+            found=check.found_points,
+            expected=check.expected_points,
+        )
+    return net, check
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,12 @@ from .gf import prime_power_decompose
 from .nets import (
     DigitalNet,
     GeneratorSet,
+    NetCheck,
     NetParams,
     check_net_provenance,
     crt_anchor,
     crt_compose,
+    crt_compose_counted,
     generators_from_dict,
     net_from_generators,
     pascal_power_generators,
@@ -95,15 +97,11 @@ def _pascal_components(b: int, m: int, d: int) -> list[GeneratorSet]:
     return [pascal_power_generators(q, d, m) for q in fac.factors]
 
 
-def build_net(b: int, m: int, d: int) -> DigitalNet:
-    """Balanced base-b net: per-prime-power generator nets joined by residues.
+def _net_components(b: int, m: int, d: int) -> list[DigitalNet]:
+    """The rank-gated generator nets over GF(q), one per prime-power factor q of b.
 
-    Every prime-power factor q of b gets its own generator-matrix net over
-    GF(q), checked by the rank gate; the digitwise residue bijection
-    assembles them into one base-b point set, balanced because its
-    components are (``crt_compose``).  ``verify_net`` counts it.  Its
-    b^m d m digit cells are held to the cell budget (``errors.check_budget``)
-    before any matrix or point is built.
+    The base-b net's b^m d m digit cells are held to the cell budget
+    (``errors.check_budget``) before any matrix or point is built.
     """
     NetParams(b=b, m=m, d=d)  # refuse b < 2, m < 0 and d < 1 before sizing the net
     formula = f"b^m*d*m = {b}^{m}*{d}*{m}"
@@ -111,7 +109,26 @@ def build_net(b: int, m: int, d: int) -> DigitalNet:
     if m > max(bits, 64):  # 2^m alone exceeds the budget: an absurd m forms no b^m
         check_budget(2**bits, f"{formula} > 2^{bits}")
     check_budget(b**m * d * m, formula)
-    return crt_compose([net_from_generators(g) for g in _pascal_components(b, m, d)], b)
+    return [net_from_generators(g) for g in _pascal_components(b, m, d)]
+
+
+def build_net(b: int, m: int, d: int) -> DigitalNet:
+    """Balanced base-b net: per-prime-power generator nets joined by residues.
+
+    Every prime-power factor q of b gets its own generator-matrix net over
+    GF(q), checked by the rank gate; the digitwise residue bijection
+    assembles them into one base-b point set, which ``crt_compose`` counts.
+    """
+    return crt_compose(_net_components(b, m, d), b)
+
+
+def build_net_counted(b: int, m: int, d: int) -> tuple[DigitalNet, NetCheck | None]:
+    """``build_net``, and the residue composition's count of its points.
+
+    The count is None for a prime-power base, whose net the rank gate
+    checked without counting (``crt_compose_counted``).
+    """
+    return crt_compose_counted(_net_components(b, m, d), b)
 
 
 def _coloring_from_generators(components: Sequence[GeneratorSet], M: int) -> LatinColoring:

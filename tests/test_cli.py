@@ -578,8 +578,8 @@ def test_net_command(capsys):
     (30, 2, 2, "pass: base=30 m=2 d=2 points=900 intervals_checked=2700\n"),
 ], ids=["composite-6", "prime-power-4", "composite-30"])
 def test_net_command_counts_the_points_once(capsys, monkeypatch, base, m, dim, stdout):
-    # a composite base is composed by residues without a count of its own,
-    # so the command's check is the only one, as for a prime power
+    # a composite base is counted once, by the residue composition, and the
+    # command reuses that check; a prime-power base is counted by the command
     calls = []
     verify_net = decluster.nets.verify_net
 

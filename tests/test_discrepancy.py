@@ -520,6 +520,18 @@ def test_scan_refuses_rows_that_do_not_sum_to_zero_over_a_period():
         discrepancy._scan_boxes(labels, np.array([[1, -1]]), extent=2, windows=2)
 
 
+def test_scan_refuses_windows_it_does_not_sweep():
+    # several windows need one plane and one period of rows per window
+    labels = np.zeros((3, 1), dtype=np.int64)
+    weights = np.array([[0]])
+    for scan in ({"extent": 2, "windows": 2}, {"extent": 3, "windows": 2},
+                 {"extent": 2}, {"extent": 4}):
+        with pytest.raises(ParameterError, match="windows"):
+            discrepancy._scan_boxes(labels, weights, **scan)
+    with pytest.raises(ParameterError, match="windows"):
+        discrepancy._scan_boxes(labels, np.array([[0], [0]]), extent=3, windows=3)
+
+
 def test_latin_path_builds_no_color_grid(monkeypatch):
     def refuse(*args):
         raise AssertionError("color_grid called on the latin path")

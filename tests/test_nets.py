@@ -18,6 +18,7 @@ from decluster.nets import (
     NetParams,
     crt_anchor,
     crt_compose,
+    crt_compose_counted,
     generator_anchor,
     net_from_generators,
     pascal_power_generators,
@@ -230,6 +231,17 @@ def test_crt_composed_net_is_balanced():
     net = crt_compose(comps, 6)
     ok, violation = naive_net_check(point_values(net), 6, 2, 3, t=0)
     assert ok, violation
+
+
+def test_crt_refuses_a_component_that_is_not_balanced():
+    # both base-2 points share their first digit on axis 2, so the composed
+    # net cannot be balanced, whatever the net's parameters claim
+    c2 = digit_net(2, [[[0], [0]], [[1], [0]]])
+    c3 = permutation_net([0, 1, 2])
+    with pytest.raises(NetConstructionError, match="residue composition to base 6"):
+        crt_compose([c2, c3], 6)
+    net, check = crt_compose_counted([permutation_net([1, 0]), c3], 6)
+    assert check.ok and check.intervals_checked == 12 and net.params.t == 0
 
 
 def test_crt_rejects_bad_inputs():

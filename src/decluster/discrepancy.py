@@ -14,16 +14,16 @@ weight planes on P axis-1 rows times [T]^(d-1), it returns the largest box
 sum of each plane and of its negation, each with the lexicographically
 smallest (lower corner, upper corner, plane) attaining the overall largest;
 a latin coloring's one plane is instead read with period P along axis 1
-under P windows of N >= P cells, and its figures are per window.  It forms
-prefix sums over axes 2..d once and takes the coordinate ranges of axes
-2..d ("slabs") in chunks of a fixed number of elements, making slab indices
-per chunk, so memory does not grow with the number of slabs.  Per chunk,
-one vectorised inclusion-exclusion gives every slab's line sums along axis
-1.  Raw grids and colorings below N = M then take a maximum-subarray sweep
-of each slab's prefix sums (Bentley, Programming Pearls, CACM 1984), for
-both signs in one pass: O(K * N * slabs) work in all.  The prefix table
-holds K * P * (T+1)^(d-1) integers, and ties are resolved across all
-chunks, not within one.
+under P windows of N >= P cells, and its figures are per window.  It builds
+one summed-area table over every axis (Crow, "Summed-area tables for
+texture mapping", SIGGRAPH 1984) of (P+1) * (T+1)^(d-1) * K integers, and
+takes the coordinate ranges of axes 2..d ("slabs") in chunks of at most
+max(``_CHUNK_ELEMS``, (P+1) * K) elements, so memory does not grow with
+the number of slabs.  A chunk's axis-1 prefix sums are one difference per
+trailing axis of the table.  Raw grids and colorings below N = M then take
+a maximum-subarray sweep of each slab's prefix sums (Bentley, Programming
+Pearls, CACM 1984), for both signs in one pass: O(K * N * slabs) work in
+all.  Ties are resolved across all chunks, not within one.
 
 On a latin coloring four facts, each proved in ``_scan_boxes``,
 ``_spread_first`` or ``disc_report``, cut the scan to a size that stops
@@ -59,7 +59,6 @@ Its three callers rank the result by their own tie rule:
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import time
@@ -74,7 +73,7 @@ from .coloring import LatinColoring, Scheme, check_axes, color_grid, verify_lati
 from .errors import ParameterError, check_budget
 from .nets import DigitalNet
 
-# Elements per temporary of one scan chunk (N + W, slabs, planes) or one
+# Elements per temporary of one scan chunk (axis-1 rows, slabs, planes) or one
 # block of a periodic query's outer product: enough per numpy call to spread
 # its fixed cost, few enough to stay in cache and, at 64 KiB, below the size
 # at which glibc's malloc serves (and returns) memory by mmap on every call.
@@ -222,14 +221,47 @@ def _resolve_grid(source, extent: int, M: int | None):
 
 
 # ---------------------------------------------------------------------------
+# Summed-area tables
+
+
+def _prefix_table(labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Summed-area table of K weight planes over every axis of ``labels``.
+
+    Plane k gives cell x the weight ``weights[k, labels[x]]``.  Entry
+    [j_1, .., j_d, k] is plane k's sum over the cells [1, j_1] x .. x
+    [1, j_d], with index 0 for none on each axis, so the table has one more
+    entry than ``labels`` on every axis, then K.  Filled plane by plane, so
+    no K-times-labels temporary is made.
+    """
+    table = np.zeros(tuple(n + 1 for n in labels.shape) + (len(weights),), dtype=np.int64)
+    inner = table[(slice(1, None),) * labels.ndim]
+    for k, plane in enumerate(weights):
+        inner[..., k] = plane[labels]
+    for axis in range(labels.ndim):
+        np.cumsum(table, axis=axis, out=table)
+    return table
+
+
+def _ends(lo: int, hi: int) -> slice:
+    """Entries lo - 1 and hi of a table axis, as a view: a range [lo, hi] is their difference."""
+    return slice(lo - 1, hi + 1, hi - lo + 1)
+
+
+def _color_planes(M: int) -> np.ndarray:
+    """Weights of the M planes [color = c], c = 1..M, indexed by color 0..M."""
+    return (np.arange(1, M + 1)[:, None] == np.arange(M + 1)).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
 # Counting
 
 
 class RangeCounter:
-    """Per-color box counts over [extent]^d via d-dimensional prefix sums.
+    """Per-color box counts over [extent]^d from one summed-area table.
 
-    Builds one table of M * (extent+1)^d integers once; each query then
-    costs 2^d table lookups per color (inclusion-exclusion over corners).
+    Builds one table of (extent+1)^d * M integers once (``_prefix_table``);
+    each query then takes one difference per axis over the box's 2^d
+    corners, for every color at once.
     """
 
     def __init__(self, source, extent: int, *, M: int | None = None, max_cells: int | None = None):
@@ -241,14 +273,7 @@ class RangeCounter:
         self.M = M_
         self.d = d
         self.extent = extent
-        table = np.zeros((M_,) + (extent + 1,) * d, dtype=np.int64)
-        inner = (slice(1, None),) * d
-        for c in range(M_):
-            part = (grid == c + 1).astype(np.int64)
-            for axis in range(d):
-                part = np.cumsum(part, axis=axis)
-            table[(c,) + inner] = part
-        self._table = table
+        self._table = _prefix_table(grid, _color_planes(M_))
 
     def _validate(self, box: Box) -> None:
         if box.d != self.d:
@@ -261,12 +286,10 @@ class RangeCounter:
         self._validate(box)
         if box.is_empty:
             return np.zeros(self.M, dtype=np.int64)
-        out = np.zeros(self.M, dtype=np.int64)
-        for picks in itertools.product(*[((hi, 0), (lo - 1, 1)) for lo, hi in zip(box.lo, box.hi)]):
-            idx = tuple(p[0] for p in picks)
-            sign = -1 if sum(p[1] for p in picks) % 2 else 1
-            out += sign * self._table[(slice(None),) + idx]
-        return out
+        corners = self._table[tuple(_ends(lo, hi) for lo, hi in zip(box.lo, box.hi))]
+        for _ in range(self.d):
+            corners = corners[1] - corners[0]
+        return corners
 
     def count(self, box: Box, color: int) -> int:
         if not 1 <= color <= self.M:
@@ -399,13 +422,14 @@ def _window_best(S: np.ndarray, W: int, signs: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _lex_min_box(S: np.ndarray, hits: np.ndarray, peak: int, sign: int, lo_t, hi_t) -> tuple:
+def _lex_min_box(S: np.ndarray, hits: np.ndarray, peak: int, sign: int, corners) -> tuple:
     """Lex-min (lo, hi, k + 1) among the (slab, plane) columns of one chunk flagged in ``hits``.
 
     ``hits[slab, k]`` flags the columns of the prefix sums ``S`` whose best
     pair of sign * S reaches ``peak``.  Each flagged column is gathered; its
     first left index i reaching ``peak``, then the first right index j with
-    sign * (S[j] - S[i]) = peak, give the axis-1 range [i+1, j].
+    sign * (S[j] - S[i]) = peak, give the axis-1 range [i+1, j], and
+    ``corners(slabs)`` the trailing lo and hi of its slab.
     """
     span = np.arange(len(S))
     slab, k = np.nonzero(hits)
@@ -420,7 +444,8 @@ def _lex_min_box(S: np.ndarray, hits: np.ndarray, peak: int, sign: int, lo_t, hi
         i = np.argmax(reach == peak, axis=1)
         base = rows[np.arange(len(i)), i][:, None]
         j = np.argmax((rows - base == peak) & (span > i[:, None]), axis=1)
-        cols = [i + 1, *(lo[slab_] for lo in lo_t), j, *(hi[slab_] for hi in hi_t), k_ + 1]
+        lo_t, hi_t = corners(slab_)
+        cols = [i + 1, *lo_t, j, *hi_t, k_ + 1]
         pick = np.lexsort(cols[::-1])[0]
         key = tuple(int(c[pick]) for c in cols)
         best = key if best is None else min(best, key)
@@ -443,10 +468,10 @@ def _may_precede(lo_t, lo: tuple, slabs: int) -> np.ndarray:
 
 
 def _check_scan_budget(P: int, T: int, d: int, K: int, max_cells: int | None) -> None:
-    """Refuse a ``_scan_boxes`` prefix table of P * (T + 1)^(d-1) * K cells over budget."""
+    """Refuse a ``_scan_boxes`` table of (P + 1) * (T + 1)^(d-1) * K cells over budget."""
     check_budget(
-        P * (T + 1) ** (d - 1) * K,
-        f"period * (T+1)^(d-1) * planes = {P} * {T + 1}^{d - 1} * {K}",
+        (P + 1) * (T + 1) ** (d - 1) * K,
+        f"(period+1) * (T+1)^(d-1) * planes = {P + 1} * {T + 1}^{d - 1} * {K}",
         max_cells,
     )
 
@@ -480,20 +505,27 @@ def _scan_boxes(
     of ``signs``: peaks[k*W + w] is the largest box sum of sign * plane k
     in window w, and key the lex-min (lo, hi, k*W + w + 1) attaining
     peaks.max(), with 1-based inclusive corners.  The cell budget counts
-    the prefix table, P * (T + 1)^(d-1) * K cells, and is checked before
-    any allocation.  The raw-grid, witness and geometric scans use one
-    window, P = T = N and every slab; ``disc_report`` uses the other shape
-    for latin colorings.
+    the prefix table, (P + 1) * (T + 1)^(d-1) * K cells, and is checked
+    before any allocation.  The raw-grid, witness and geometric scans use
+    one window, P = T = N and every slab; ``disc_report`` uses the other
+    shape for latin colorings.
 
-    One window is swept slab by slab by ``_window_best`` and its ties
-    resolved by ``_lex_min_box``; P windows go to ``_spread_first``.
+    The prefix table is summed over every axis (``_prefix_table``), so a
+    slab's axis-1 prefix sums S(0..P) are one difference per trailing axis
+    of it.  The slabs go in chunks of at most max(``_CHUNK_ELEMS``,
+    (P + 1) * K) cells, in lexicographic order of their ranges: the last
+    trailing axes that fit take all their ranges at once, the axis before
+    them a block of ranges, and each axis before that one range, first cut
+    to a view of its two ends so that nothing larger than a chunk is
+    copied.  One window is swept slab by slab by ``_window_best`` and its
+    ties resolved by ``_lex_min_box``; P windows go to ``_spread_first``.
 
     (a) One period of rows.  Under P windows every plane must sum to 0
     over the P rows of each axis-1 line; this is checked per chunk.  A
     slab's line sums g then repeat with period P and sum to 0 over one
     period, so its prefix sums S(t) = g(0) + .. + g(t-1) satisfy
-    S(t + P) = S(t) + 0: the prefix table holds P rows, and the windows
-    read S[t mod P].
+    S(t + P) = S(t) + 0: the prefix table holds P + 1 rows, and the
+    windows read S[t mod P].
 
     (b) Fewer slabs.  ``period`` promises that every plane is balanced
     along each trailing axis too: the labels repeat with that period along
@@ -526,18 +558,7 @@ def _scan_boxes(
         )
     check_axes(d + 1, d)  # the prefix table
     _check_scan_budget(P, T, d, K, max_cells)
-
-    # prefix[x_1, j_2, .., j_d, k]: plane k's weight on row x_1 over the
-    # trailing coordinates [1, j_i] (index 0 = none).  Axis 1 comes first so
-    # that the sweeps along it run over contiguous (slab, plane) vectors.
-    prefix = np.zeros((P,) + (T + 1,) * (d - 1) + (K,), dtype=np.int64)
-    inner = prefix[(slice(None),) + (slice(1, None),) * (d - 1)]
-    for k in range(K):  # plane by plane, so no K * P * T^(d-1) temporary
-        inner[..., k] = weights[k][labels]
-    for axis in range(1, d):
-        np.cumsum(prefix, axis=axis, out=prefix)
-    prefix = prefix.reshape(P, -1, K)
-    strides = [(T + 1) ** (d - 2 - a) for a in range(d - 1)]
+    table = _prefix_table(labels, weights)
 
     pair_lo, pair_hi = np.triu_indices(T)  # 0-based lo <= hi, one per axis range
     if period is not None:
@@ -546,51 +567,62 @@ def _scan_boxes(
     pair_lo += 1
     pair_hi += 1
     ranges = len(pair_lo)
-    slabs = ranges ** (d - 1)
-    step = max(1, _CHUNK_ELEMS // (K * (P + 1)))
+    # Ranges per chunk on each trailing axis: all of them on the last axes
+    # that fit in ``room`` slabs, a block on the axis before them, one on
+    # each axis before that.
+    widths, room = [], max(1, _CHUNK_ELEMS // (K * (P + 1)))
+    for _ in range(d - 1):
+        widths.insert(0, max(1, min(ranges, room)))
+        room //= ranges
+    blocks = [-(-ranges // width) for width in widths]  # per trailing axis
 
-    def chunk(start: int):
-        """Axis-1 prefix sums (P + 1, slabs, K) of slabs start.., and their trailing corners."""
-        rest = np.arange(start, min(start + step, slabs), dtype=np.int64)
-        lo_t, hi_t = [], []
-        for _ in range(d - 1):
-            rest, pick = np.divmod(rest, ranges)
-            lo_t.insert(0, pair_lo[pick])
-            hi_t.insert(0, pair_hi[pick])
-        lines = None
-        for picks in itertools.product(*[((hi, 1), (lo - 1, -1)) for lo, hi in zip(lo_t, hi_t)]):
-            flat = np.zeros(len(rest), dtype=np.int64)
-            for (j, _), stride in zip(picks, strides):
-                flat += j * stride
-            term = prefix[:, flat]
-            if lines is None:
-                lines = term
-            elif math.prod(sign for _, sign in picks) > 0:
-                lines += term
-            else:
-                lines -= term
-        sums = np.zeros((P + 1,) + lines.shape[1:], dtype=np.int64)
-        np.cumsum(lines, axis=0, out=sums[1:])
+    def chunk(c: int):
+        """Axis-1 prefix sums (P + 1, slabs, K) of chunk c's slabs, and ``corners``.
+
+        ``corners(slabs)`` gives the trailing lo and hi, per axis, of the
+        chunk's slabs at the given column indices.
+        """
+        at = np.unravel_index(c, blocks)  # block index on each trailing axis
+        picks = [slice(i * width, (i + 1) * width) for i, width in zip(at, widths)]
+        los, his = [pair_lo[p] for p in picks], [pair_hi[p] for p in picks]
+        # an axis at one range is cut to a view of its two ends before anything is copied
+        cut = [_ends(lo[0], hi[0]) if len(lo) == 1 else slice(None) for lo, hi in zip(los, his)]
+        part = table[(slice(None), *cut)]
+        for axis, (lo, hi) in enumerate(zip(los, his), start=1):
+            lead = (slice(None),) * axis  # indexing, not ``take``: several times faster here
+            high, low = (slice(1, 2), slice(1)) if len(lo) == 1 else (hi, lo - 1)
+            part = part[(*lead, high)] - part[(*lead, low)]
+        sums = part.reshape(P + 1, -1, K)
         if windowed and sums[P].any():
             raise AssertionError("a plane does not sum to 0 over one period of axis-1 rows")
-        return sums, lo_t, hi_t
 
-    starts = range(0, slabs, step)
+        def corners(slabs: np.ndarray):
+            lo_t, hi_t = [], []
+            for lo, hi in zip(los[::-1], his[::-1]):
+                slabs, i = np.divmod(slabs, len(lo))
+                lo_t.insert(0, lo[i])
+                hi_t.insert(0, hi[i])
+            return lo_t, hi_t
+
+        return sums, corners
+
+    chunks = range(math.prod(blocks))
     if windowed:
-        return _spread_first(chunk, starts, P, N, signs)
+        return _spread_first(chunk, chunks, P, N, signs)
     tracks = [[np.full(K, np.iinfo(np.int64).min, dtype=np.int64), None] for _ in signs]
-    for start in starts:
-        sums, lo_t, hi_t = chunk(start)
+    for c in chunks:
+        sums, corners = chunk(c)
         bests = _window_best(sums, 1, signs)[:, 0]  # [sign, slab, k]
         for sign, track, best in zip(signs, tracks, bests):
             top = best.max(axis=0)
             peak, so_far = int(top.max()), int(track[0].max())
             if peak > so_far:
-                track[1] = _lex_min_box(sums, best == peak, peak, sign, lo_t, hi_t)
+                track[1] = _lex_min_box(sums, best == peak, peak, sign, corners)
             elif peak == so_far:  # a tie: only slabs that could still precede the kept key
+                lo_t = corners(np.arange(len(best)))[0]
                 hits = (best == peak) & _may_precede(lo_t, track[1][0], len(best))[:, None]
                 if hits.any():
-                    key = _lex_min_box(sums, hits, peak, sign, lo_t, hi_t)
+                    key = _lex_min_box(sums, hits, peak, sign, corners)
                     track[1] = min(track[1], key)
             np.maximum(track[0], top, out=track[0])
     return tracks
@@ -656,7 +688,7 @@ def _lex_first(lo_1: np.ndarray, hi_1: np.ndarray, reach: np.ndarray, lo_t, hi_t
     return lo, hi, int(index[pick])
 
 
-def _spread_first(chunk, starts, P: int, N: int, signs: tuple[int, ...]) -> list:
+def _spread_first(chunk, chunks, P: int, N: int, signs: tuple[int, ...]) -> list:
     """``_scan_boxes`` for one plane under W = P windows of N >= P cells, from the spreads.
 
     Window s is the prefix indices [s, s + N], s = 0..P-1 (window w = P - 1
@@ -685,14 +717,14 @@ def _spread_first(chunk, starts, P: int, N: int, signs: tuple[int, ...]) -> list
     def settle():
         if held:
             S = np.concatenate([h[0] for h in held], axis=1)
-            corners = [[np.concatenate(c) for c in zip(*(h[n] for h in held))] for n in (1, 2)]
-            hit, found = _spread_keys(S, N, signs, *corners)
+            lo_hi = [[np.concatenate(c) for c in zip(*(h[n] for h in held))] for n in (1, 2)]
+            hit, found = _spread_keys(S, N, signs, *lo_hi)
             reached[:] |= hit
             keys[:] = [key if old is None else min(old, key) for old, key in zip(keys, found)]
             held.clear()
 
-    for start in starts:
-        sums, lo_t, hi_t = chunk(start)
+    for last in chunks:
+        sums, corners = chunk(last)
         S = sums[:P, :, 0]
         spread = S.max(axis=0) - S.min(axis=0)
         tops.append(int(spread.max()))
@@ -708,7 +740,7 @@ def _spread_first(chunk, starts, P: int, N: int, signs: tuple[int, ...]) -> list
             part = g[at : at + room]
             if sum(h[0].shape[1] for h in held) + len(part) > room:
                 settle()
-            held.append((S[:, part], [lo[part] for lo in lo_t], [hi[part] for hi in hi_t]))
+            held.append((S[:, part], *corners(part)))
     settle()
 
     peaks = np.where(reached, G, np.iinfo(np.int64).min)  # [sign, s]
@@ -717,9 +749,9 @@ def _spread_first(chunk, starts, P: int, N: int, signs: tuple[int, ...]) -> list
     for c in np.argsort(tops, kind="stable")[::-1]:
         if tops[c] <= peaks.min():
             break
-        if starts[c] != start:  # pass 1 ends holding the last chunk
-            start = starts[c]
-            sums = chunk(start)[0]
+        if c != last:  # pass 1 ends holding the last chunk
+            last = c
+            sums = chunk(c)[0]
         S = sums[:, :, 0]
         spread = S[:P].max(axis=0) - S[:P].min(axis=0)
         cols = np.argsort(-spread, kind="stable")
@@ -764,9 +796,7 @@ def _scan_input(source, extent: int, M: int | None, max_cells: int | None):
     if isinstance(coloring, LatinColoring) and extent >= 1:
         _check_scan_budget(extent, extent, d, M, max_cells)
     grid, M, d = _resolve_grid(source, extent, M)
-    colors = np.arange(1, M + 1, dtype=np.int64)
-    weights = M * (colors[:, None] == np.arange(M + 1)).astype(np.int64) - 1
-    return grid, weights, {}, lambda box: _box_color_counts(grid, box, M), M, d
+    return grid, M * _color_planes(M) - 1, {}, lambda box: _box_color_counts(grid, box, M), M, d
 
 
 def disc_report(

@@ -417,16 +417,17 @@ def crt_anchor(components: Sequence[GeneratorSet], M: int) -> np.ndarray:
     k = base_exponent(M, b)
     if len(components) == 1:
         return generator_anchor(components[0], M)
-    n, powers = k * (d - 1), np.arange(k - 1, -1, -1)
-    joined = np.zeros((b**n, k), dtype=np.int64)  # digits of x_1, most significant first
-    for gens, q, weight in zip(components, bases, weights):
-        local = generator_anchor(gens, q**k) - 1
-        share = local[:, None] // q**powers % q * weight  # by component line rank
-        rank = np.zeros(1, dtype=np.int64)
-        for place in range(n):  # least significant digit first, each new digit the slowest axis
-            rank = np.add.outer(np.arange(b) % q * q**place, rank).reshape(-1)
-        joined += share[rank]
-    return (joined % b) @ b**powers + 1
+    local = [generator_anchor(gens, q**k) - 1 for gens, q in zip(components, bases)]
+    anchor = np.ones(M ** (d - 1), dtype=np.int64)
+    for power in range(k):  # one digit of x_1 at a time, so temporaries stay anchor-sized
+        digit = np.zeros_like(anchor)
+        for share, q, weight in zip(local, bases, weights):
+            rank = np.zeros(1, dtype=np.int64)  # component line rank of each line
+            for place in range(k * (d - 1)):  # least significant first, each new digit slowest
+                rank = np.add.outer(np.arange(b) % q * q**place, rank).reshape(-1)
+            digit += (share // q**power % q * weight)[rank]
+        anchor += digit % b * b**power
+    return anchor
 
 
 def net_from_generators(gens: GeneratorSet) -> DigitalNet:

@@ -266,12 +266,15 @@ def regenerate_scheme(scheme: Scheme) -> Scheme:
     once M is known to be a power of its base; the net is refused
     (NetConstructionError) when a component fails the rank criterion.  That
     gate alone stands for the latin check here: the verifier compares the
-    rebuilt map with the stored one, which ``load_scheme`` has checked.
+    rebuilt map with the stored one, which ``load_scheme`` has checked.  Its
+    M^(d-1) anchor cells are held to the cell budget first, as the baseline
+    rebuilds hold theirs (``coloring.check_anchor_budget``).
     """
     _check_provenance(scheme)
     M, d = scheme.M, scheme.d
     prov = scheme.provenance
     if prov.get("kind") == "net":
+        check_anchor_budget(M, d)
         record = prov["net"]
         parts = record["components"] if record["kind"] == "crt" else [record]
         coloring = _coloring_from_generators([generators_from_dict(c) for c in parts], M)

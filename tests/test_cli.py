@@ -266,6 +266,31 @@ def test_verify_checks_a_cyclic_or_random_map_once(tmp_path, capsys, monkeypatch
     assert len(checked) == 1
 
 
+def test_verify_holds_a_crt_rebuild_to_the_anchor_budget(tmp_path, capsys, monkeypatch):
+    # M = 36 = 6^2 from base 6: a crt record of GF(2) and GF(3) whose x_1
+    # has k = 2 digits; the rebuild is refused before any component map
+    parts = decluster.schemegen._pascal_components(6, 2, 2)
+    coloring = decluster.coloring.LatinColoring(
+        M=36, d=2, anchor=decluster.nets.crt_anchor(parts, 36)
+    )
+    record = {"kind": "crt", "components": [{"b": g.field.q, **g.as_dict()} for g in parts]}
+    scheme = decluster.coloring.Scheme(
+        coloring=coloring, mode="paper", warnings=(),
+        provenance={"kind": "net", "base": 6, "m": 2, "net": record},
+    )
+    out = tmp_path / "crt.json"
+    out.write_bytes(scheme_to_json_bytes(scheme))
+    monkeypatch.delenv("DECLUSTER_MAX_CELLS", raising=False)
+    code, stdout, _ = run(capsys, "verify", "--scheme", str(out))
+    assert code == 0 and stdout.strip().endswith("PASS")
+    monkeypatch.setattr(decluster.nets, "generator_anchor", _refuse("a component anchor map"))
+    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "35")
+    code, stdout, _ = run(capsys, "verify", "--scheme", str(out))
+    assert code == 1
+    assert "FAIL: provenance does not regenerate: M^(d-1) = 36^1 = 36 cells exceeds the " \
+        "cell budget 35" in stdout
+
+
 def _refuse(what):
     def refuse(*args, **kwargs):
         raise AssertionError(f"built {what} before checking the budget")
@@ -775,7 +800,7 @@ def test_witness_refuses_a_large_file_before_its_grid(tmp_path, capsys, monkeypa
     monkeypatch.setenv("DECLUSTER_MAX_CELLS", "100")
     code, stdout, stderr = run(capsys, "witness", "--scheme", str(path))
     assert code == 1 and stdout == ""
-    assert stderr.startswith("error: ") and "3000 * 3001^1 * 1" in stderr
+    assert stderr.startswith("error: ") and "3001 * 3001^1 * 1" in stderr
 
 
 # -- sweep ---------------------------------------------------------------------------

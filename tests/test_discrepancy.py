@@ -4,7 +4,9 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -388,18 +390,24 @@ def _latin_vs_grid(source, N, positive_only):
 @settings(max_examples=150, deadline=None)
 @given(
     mode=st.sampled_from(MODES + ("skewed",)),
-    d=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=1, max_value=5),
     positive_only=st.booleans(),
     data=st.data(),
 )
 def test_latin_window_path_matches_grid_path(mode, d, positive_only, data):
     # A raw grid is always scanned as M planes with one window, so it is the
     # oracle for the one-plane, M-window path a latin coloring takes at N >= M.
-    scheme = _draw_latin(mode, d, st.integers(1, {1: 9, 2: 7, 3: 4, 4: 3}[d]), data)
+    # Chunks of 64 and of 1 element hold the leading trailing axes at one
+    # range and block the last one, in every dimension.
+    scheme = _draw_latin(mode, d, st.integers(1, {1: 9, 2: 7, 3: 4, 4: 3, 5: 3}[d]), data)
     M = scheme.M
-    N = data.draw(st.integers(M, 3 * M + 1), label="N")  # below 2M - 2 and in the flat regime
+    top = 2 * M if d == 5 else 3 * M + 1  # below 2M - 2 and in the flat regime
+    N = data.draw(st.integers(M, top), label="N")
     latin, grid = _latin_vs_grid(scheme, N, positive_only)
     assert latin == grid
+    for chunk in (64, 1):
+        with mock.patch.object(discrepancy, "_CHUNK_ELEMS", chunk):
+            assert _report_fields(disc_report(scheme, N, positive_only=positive_only)) == grid
 
 
 def _draw_latin(mode, d, disks, data):
@@ -448,8 +456,8 @@ def test_axis1_only_balanced_coloring_matches_grid_path(d, positive_only, data):
     N = data.draw(st.integers(M, 3 * M + 1), label="N")
     latin, grid = _latin_vs_grid(coloring, N, positive_only)
     assert latin == grid
-    cells = M * (N + 1) ** (d - 1)
-    table = f"{M} \\* {N + 1}\\^{d - 1} \\* 1 = {cells} cells"
+    cells = (M + 1) * (N + 1) ** (d - 1)
+    table = f"{M + 1} \\* {N + 1}\\^{d - 1} \\* 1 = {cells} cells"
     with pytest.raises(BudgetExceededError, match=table):
         disc_report(coloring, N, max_cells=cells - 1)
 
@@ -685,9 +693,10 @@ def test_geometric_accepts_net_directly():
     assert geo.scale == 16
 
 
-@pytest.mark.parametrize("chunk", [discrepancy._CHUNK_ELEMS, 64])
+@pytest.mark.parametrize("chunk", [discrepancy._CHUNK_ELEMS, 64, 1])
 def test_geometric_net_at_sixteen_matches_naive(monkeypatch, chunk):
-    # 64-element chunks split the 136 slabs of G=16 into 46 chunks
+    # 64-element chunks split the 136 slabs of G=16 into 46 chunks, 1-element
+    # chunks into one slab each
     monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk)
     net = net_from_generators(pascal_power_generators(2, 2, 6))
     geo = geometric_discrepancy(net, 16)
@@ -803,7 +812,10 @@ def test_witness_scan_matches_brute_force(d, M, cyclic, data):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         grid = rng.integers(1, M + 1, size=(side,) * d)
     color = data.draw(st.integers(1, M), label="color")
-    assert _witness_box(grid, M, color) == _brute_witness(grid, M, color)
+    want = _brute_witness(grid, M, color)
+    for chunk in (discrepancy._CHUNK_ELEMS, 64, 1):
+        with mock.patch.object(discrepancy, "_CHUNK_ELEMS", chunk):
+            assert _witness_box(grid, M, color) == want
 
 
 # -- budget guard -------------------------------------------------------------------
@@ -829,22 +841,22 @@ def test_budget_guard_env_var(monkeypatch):
 
 def test_budget_counts_the_cells_the_latin_path_allocates():
     # one plane over one period of M axis-1 rows and trailing extent
-    # T = min(N, 2M - 2): M * (T + 1)^(d-1) cells, not M planes
+    # T = min(N, 2M - 2): (M + 1) * (T + 1)^(d-1) cells, not M planes
     scheme = make_baseline("cyclic", 4, 2)
-    cells = 4 * (6 + 1)
+    cells = (4 + 1) * (6 + 1)
     assert disc_report(scheme, 10, max_cells=cells).disc_plus.num > 0
-    with pytest.raises(BudgetExceededError, match=f"4 \\* 7\\^1 \\* 1 = {cells} cells"):
+    with pytest.raises(BudgetExceededError, match=f"5 \\* 7\\^1 \\* 1 = {cells} cells"):
         disc_report(scheme, 10, max_cells=cells - 1)
 
 
 def test_budget_counts_the_prefix_table_at_small_extent():
     # checkerboard M=2, d=12, N=2: N^(d-1) = 2048 would pass a 6144-cell
-    # budget, but the prefix table has M * (T + 1)^(d-1) = 2 * 3^11 = 354 294 cells
+    # budget, but the prefix table has (M + 1) * (T + 1)^(d-1) = 3 * 3^11 = 531 441 cells
     scheme = make_baseline("checkerboard", 2, 12)
-    for budget in (6144, 354_293):
-        with pytest.raises(BudgetExceededError, match="2 \\* 3\\^11 \\* 1 = 354294 cells"):
+    for budget in (6144, 531_440):
+        with pytest.raises(BudgetExceededError, match="3 \\* 3\\^11 \\* 1 = 531441 cells"):
             disc_report(scheme, 2, max_cells=budget)
-    assert disc_report(scheme, 2, max_cells=354_294).disc_plus == ScaledValue(1, 2)
+    assert disc_report(scheme, 2, max_cells=531_441).disc_plus == ScaledValue(1, 2)
 
 
 def test_budget_is_checked_before_the_scan_input_is_built(monkeypatch):
@@ -857,10 +869,10 @@ def test_budget_is_checked_before_the_scan_input_is_built(monkeypatch):
     monkeypatch.setattr(discrepancy, "color_grid", refuse)
     monkeypatch.setattr(LatinColoring, "anchor_tensor", refuse)
     unbalanced = LatinColoring(M=2, d=2, anchor=(1, 1))
-    with pytest.raises(BudgetExceededError, match="2 \\* 4000001\\^1 \\* 1 = 8000002 cells"):
+    with pytest.raises(BudgetExceededError, match="3 \\* 4000001\\^1 \\* 1 = 12000003 cells"):
         disc_report(unbalanced, 4_000_000, max_cells=100)
     # below M the N^d color grid waits for the budget of its M-plane scan too
-    with pytest.raises(BudgetExceededError, match="2000 \\* 2001\\^1 \\* 3000"):
+    with pytest.raises(BudgetExceededError, match="2001 \\* 2001\\^1 \\* 3000"):
         disc_report(make_baseline("cyclic", 3000, 2), 2000, max_cells=100)
 
 
@@ -875,7 +887,7 @@ def test_range_counter_and_witness_check_the_budget_before_the_grid(monkeypatch)
         RangeCounter(make_baseline("cyclic", 2, 2), 2000, max_cells=100)
     big = make_baseline("cyclic", 3000, 2)  # its 3000 anchor cells are over the budget below
     monkeypatch.setenv("DECLUSTER_MAX_CELLS", "100")
-    with pytest.raises(BudgetExceededError, match="3000 \\* 3001\\^1 \\* 1"):
+    with pytest.raises(BudgetExceededError, match="3001 \\* 3001\\^1 \\* 1"):
         find_positive_witness(big)
 
 
@@ -884,7 +896,7 @@ def test_witness_flip_fits_the_scan_budget(monkeypatch):
     # recounted from the scanned grid, so the scan's own budget is enough
     scheme = make_baseline("random", 4, 2, seed=1)
     want = find_positive_witness(scheme)
-    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "20")  # the 4 * 5 prefix table of a 4 x 4 scan
+    monkeypatch.setenv("DECLUSTER_MAX_CELLS", "25")  # the 5 * 5 prefix table of a 4 x 4 scan
     assert find_positive_witness(scheme) == want
 
 
@@ -894,6 +906,19 @@ def test_budget_guard_witness_and_geometric(monkeypatch):
         find_positive_witness(make_baseline("cyclic", 4, 2))
     with pytest.raises(BudgetExceededError):
         geometric_discrepancy([(Fraction(1, 2), Fraction(1, 2))], 4)
+
+
+def test_scan_memory_is_the_table_and_a_few_chunks():
+    # smallbase d=4, M=9: a 10^4-cell summed-area table and chunks of at most
+    # _CHUNK_ELEMS cells; the 44^3 slabs at once would take 6.8 MB
+    scheme = generate_scheme(9, 4, "smallbase")
+    tracemalloc.start()
+    try:
+        disc_report(scheme, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (10**4 + 8 * discrepancy._CHUNK_ELEMS)
 
 
 # -- serialization --------------------------------------------------------------------

@@ -25,23 +25,19 @@ a maximum-subarray sweep of each slab's prefix sums (Bentley, Programming
 Pearls, CACM 1984), for both signs in one pass: O(K * N * slabs) work in
 all.  Ties are resolved across all chunks, not within one.
 
-On a latin coloring four facts, each proved in ``_scan_boxes``,
-``_spread_first`` or ``disc_report``, cut the scan to a size that stops
-growing with N:
+On a latin coloring four facts, proved in ``_scan_boxes`` and
+``disc_report``, cut the scan to a size that stops growing with N:
 
-- (a) one period of axis-1 rows: the line sums repeat with period M and
-  sum to 0 over one period, so P = M rows suffice;
+- (a) one period of axis-1 rows: P = M rows suffice;
 - (b) fewer slabs: for a coloring that passes ``verify_latin``, only
   trailing ranges with lo <= M and length < M are scanned;
 - (c) spread first: at every N >= M, disc+ = disc = G, the largest
-  one-period spread max S - min S of a slab's prefix sums S.  The witness
-  and every window that reaches G are read off the slabs of spread G in
-  closed form, with no sweep; only windows that no such slab reaches (from
-  N >= 2M - 2 there are none) are swept, all at once by the same scan
-  (``_window_best``), over the slabs whose spread exceeds their floor;
-- (d) clamped extent: the lex-min witness has lo <= M and sides < M, so a
-  verified coloring at N > 2M - 2 is scanned at N = 2M - 2 and reported
-  at N.
+  one-period spread max S - min S of a slab's prefix sums S.  Every
+  witness starts at x_1 = 1; it and the windows reaching G are read off
+  the slabs of spread G in closed form, and only the other windows (none
+  from N >= 2M - 2) are swept;
+- (d) clamped extent: from N >= 2M - 2 the scan runs at N = 2M - 2 and,
+  for a verified coloring, on trailing ranges inside [1, M].
 
 Its three callers rank the result by their own tie rule:
 
@@ -74,9 +70,10 @@ from .errors import ParameterError, check_budget
 from .nets import DigitalNet
 
 # Elements per temporary of one scan chunk (axis-1 rows, slabs, planes) or one
-# block of a periodic query's outer product: enough per numpy call to spread
-# its fixed cost, few enough to stay in cache and, at 64 KiB, below the size
-# at which glibc's malloc serves (and returns) memory by mmap on every call.
+# block of a periodic query's outer product.  Larger chunks pay numpy's fixed
+# cost per call less often (smallbase d=3, M=N=64 on a 2-core machine: 2.0 s,
+# 1.2 s at 32768), but pass 2 of ``_spread_first`` sweeps slabs in larger
+# batches, so more of them (random M=31, N=32: 89 columns, 126 at 32768).
 _CHUNK_ELEMS = 8192
 # Slabs in the first sweep of a chunk revisited for windows below the largest
 # spread: the widest few raise the windows' floors before the rest are filtered.
@@ -506,9 +503,7 @@ def _scan_boxes(
     in window w, and key the lex-min (lo, hi, k*W + w + 1) attaining
     peaks.max(), with 1-based inclusive corners.  The cell budget counts
     the prefix table, (P + 1) * (T + 1)^(d-1) * K cells, and is checked
-    before any allocation.  The raw-grid, witness and geometric scans use
-    one window, P = T = N and every slab; ``disc_report`` uses the other
-    shape for latin colorings.
+    before any allocation.
 
     The prefix table is summed over every axis (``_prefix_table``), so a
     slab's axis-1 prefix sums S(0..P) are one difference per trailing axis
@@ -543,10 +538,6 @@ def _scan_boxes(
     every sign's peaks is positive, or that period = 1; then every weight
     is 0, every box ties at 0, and the lex-min box, [1, 1] on every axis,
     has a kept slab.
-
-    (c) Spread first.  Under P windows ``_spread_first`` takes the peaks
-    and keys from each slab's spread max S - min S over one period instead
-    of sweeping every slab; its docstring has the proof.
     """
     P, d, K, W = labels.shape[0], labels.ndim, weights.shape[0], windows
     N, T = (P if extent is None else extent), labels.shape[-1]
@@ -645,47 +636,43 @@ def _first_at(mask: np.ndarray, at: np.ndarray, ahead: int = 0) -> np.ndarray:
     return first
 
 
-def _spread_keys(S: np.ndarray, N: int, signs: tuple[int, ...], lo_t, hi_t) -> tuple:
-    """Windows where sign * S reaches its spread on some column, and the lex-min key there.
+def _reached(S: np.ndarray, N: int, signs: tuple[int, ...]) -> np.ndarray:
+    """Windows [s, s + N] in which sign * S reaches its spread on some column, as [sign, s].
 
-    ``S`` holds one period (P rows) of the prefix sums of columns that all
-    share their spread.  In window s a column's lex-min pair reaching the
-    spread runs from the first start (a minimum of sign * S) at or after s
-    to the first end (a maximum) after it, if that lies within s + N
-    (``disc_report`` (c)).  Returns the reached windows, indexed [sign, s],
-    and per sign the lex-min (lo, hi, P - s) over them.
+    ``S`` holds one period (P rows) of the prefix sums of columns that
+    share their spread.  Window s holds such a pair iff the first start (a
+    minimum of sign * S) at or after s has its next end (a maximum) within
+    s + N (``disc_report`` (c)).
+    """
+    s = np.arange(len(S))[:, None]
+    ends = (S == S.min(axis=0), S == S.max(axis=0))  # the starts of sign 1, of sign -1
+    out = []
+    for sign in signs:
+        start, end = ends[::sign]
+        out.append((_first_at(start, _first_at(end, s, 1)) - s <= N).any(axis=1))
+    return np.array(out)
+
+
+def _spread_keys(S: np.ndarray, signs: tuple[int, ...], lo_t: tuple, hi_t) -> list:
+    """Per sign, the lex-min (lo, hi, P - s) of a box reaching the spread of ``S``'s columns.
+
+    The columns also share their trailing lower corner ``lo_t``.  Such a
+    box starts window s at a start, lo_1 = 1, and ends at the next end, hi_1
+    rows on (``disc_report`` (c)): per column the least hi_1, then last s.
     """
     P = len(S)
-    ends = np.stack((S == S.min(axis=0), S == S.max(axis=0)))  # the starts of sign 1, of sign -1
-    rise = ends[[(1 - sign) // 2 for sign in signs]]
-    fall = ends[[(1 + sign) // 2 for sign in signs]]
     s = np.arange(P)[:, None]
-    lo_1 = _first_at(rise, s) - s + 1
-    hi_1 = _first_at(rise, _first_at(fall, s, 1)) - s
-    reach = hi_1 <= N
-    keys = [_lex_first(*args, lo_t, hi_t) for args in zip(lo_1, hi_1, reach)]
-    return reach.any(axis=2), keys
-
-
-def _lex_first(lo_1: np.ndarray, hi_1: np.ndarray, reach: np.ndarray, lo_t, hi_t):
-    """Lex-min (lo, hi, P - s) over the flagged ``reach[s, column]`` (at least one).
-
-    Row s, column c stands for the box with axis-1 range [lo_1, hi_1][s, c]
-    and trailing corners lo_t[.][c], hi_t[.][c] in window s of P.  Filters
-    by lo_1 first, then sorts only the columns left.
-    """
-    P = len(reach)
-    first = lo_1[reach].min()
-    hits = reach & (lo_1 == first)
-    cols = np.flatnonzero(hits.any(axis=0))
-    hits, hi_1 = hits[:, cols], hi_1[:, cols]
-    end = np.where(hits, hi_1, hi_1.max()).min(axis=0)  # per column the least hi_1, then last s
-    index = P - np.where(hits & (hi_1 == end), np.arange(P)[:, None], -1).max(axis=0)
-    lo_c, hi_c = [lo[cols] for lo in lo_t], [hi[cols] for hi in hi_t]
-    pick = np.lexsort([index, *hi_c[::-1], end, *lo_c[::-1]])[0]
-    lo = (int(first), *(int(c[pick]) for c in lo_c))
-    hi = (int(end[pick]), *(int(c[pick]) for c in hi_c))
-    return lo, hi, int(index[pick])
+    ends = (S == S.min(axis=0), S == S.max(axis=0))
+    keys = []
+    for sign in signs:
+        start, end = ends[::sign]
+        hi_1 = np.where(start, _first_at(end, s, 1) - s, P)
+        least = hi_1.min(axis=0)
+        index = P - np.where(hi_1 == least, s, -1).max(axis=0)
+        pick = np.lexsort([index, *hi_t[::-1], least])[0]
+        hi = (int(least[pick]), *(int(h[pick]) for h in hi_t))
+        keys.append(((1, *lo_t), hi, int(index[pick])))
+    return keys
 
 
 def _spread_first(chunk, chunks, P: int, N: int, signs: tuple[int, ...]) -> list:
@@ -695,32 +682,27 @@ def _spread_first(chunk, chunks, P: int, N: int, signs: tuple[int, ...]) -> list
     - s).  A slab's prefix sums S have period P (fact (a)), so, as
     ``disc_report`` (c) proves with P = M, both signs peak at G, the largest
     spread max S - min S, and the windows reaching G and the lex-min keys
-    there come from the slabs of spread G (G-slabs) in closed form
-    (``_spread_keys``).
+    there come from the slabs of spread G (G-slabs) in closed form.
 
-    Pass 1 computes each chunk's spreads and holds the columns of the
-    running maximum's G-slabs, settling them by ``_spread_keys`` whenever
-    they would pass half of ``_CHUNK_ELEMS`` elements (its temporaries
-    stack two such arrays), and keeps one number per chunk: its largest
-    spread.  A window no G-slab reaches has a peak below G, and only slabs
-    whose spread exceeds the window's current floor can raise it, so pass 2
-    revisits chunks in descending order of their largest spread, sweeps
-    those slabs with ``_window_best`` (the widest spreads first, so that
-    the floors rise before the rest are filtered), and stops once no chunk
-    can beat the lowest floor.
+    Pass 1 keeps each chunk's largest spread, reads by ``_spread_keys`` the
+    keys of its G-slabs at their least trailing lower corner unless an
+    earlier G-slab's is smaller, and, until every window is reached, holds
+    the G-slab columns for ``_reached``, settling them before they pass
+    half of ``_CHUNK_ELEMS`` elements.  A window no G-slab reaches has a
+    peak below G, and only slabs whose spread exceeds the window's current
+    floor can raise it, so pass 2 revisits chunks in descending order of
+    their largest spread, sweeps those slabs with ``_window_best`` (the
+    widest spreads first, so that the floors rise before the rest are
+    filtered), and stops once no chunk can beat the lowest floor.
     """
-    room = max(1, _CHUNK_ELEMS // (2 * P))  # G-slab columns per ``_spread_keys`` call
-    G, tops, held = -1, [], []  # held: G-slab columns, corners not yet settled
-    reached = np.zeros((len(signs), P), dtype=bool)  # [sign, s]
-    keys = [None] * len(signs)
+    room = max(1, _CHUNK_ELEMS // (2 * P))  # G-slab columns per ``_reached`` call
+    G, tops, held, keys, lowest = -1, [], [], [], None  # held: G-slab columns not yet settled
+    full = N >= 2 * P - 2  # every window is reached
+    reached = np.full((len(signs), P), full)  # [sign, s]
 
     def settle():
         if held:
-            S = np.concatenate([h[0] for h in held], axis=1)
-            lo_hi = [[np.concatenate(c) for c in zip(*(h[n] for h in held))] for n in (1, 2)]
-            hit, found = _spread_keys(S, N, signs, *lo_hi)
-            reached[:] |= hit
-            keys[:] = [key if old is None else min(old, key) for old, key in zip(keys, found)]
+            reached[:] |= _reached(np.concatenate(held, axis=1), N, signs)
             held.clear()
 
     for last in chunks:
@@ -731,17 +713,27 @@ def _spread_first(chunk, chunks, P: int, N: int, signs: tuple[int, ...]) -> list
         if tops[-1] < G:
             continue
         if tops[-1] > G:
-            G = tops[-1]
+            G, lowest = tops[-1], None
             held.clear()
-            reached[:] = False
-            keys[:] = [None] * len(signs)
+            keys.clear()
+            reached[:] = full
         g = np.flatnonzero(spread == G)
-        for at in range(0, len(g), room):
-            part = g[at : at + room]
-            if sum(h[0].shape[1] for h in held) + len(part) > room:
-                settle()
-            held.append((S[:, part], *corners(part)))
+        if not reached.all():
+            for at in range(0, len(g), room):
+                part = g[at : at + room]
+                if sum(h.shape[1] for h in held) + len(part) > room:
+                    settle()
+                held.append(S[:, part])
+        lo_t, hi_t = corners(g)
+        first = np.ones(len(g), dtype=bool)  # the chunk's least trailing lower corner
+        for lo in lo_t:
+            first &= lo == lo[first].min()
+        corner = tuple(int(lo[first][0]) for lo in lo_t)
+        if lowest is None or corner <= lowest:
+            lowest = corner
+            keys.append(_spread_keys(S[:, g[first]], signs, corner, [hi[first] for hi in hi_t]))
     settle()
+    keys = [min(k) for k in zip(*keys)]
 
     peaks = np.where(reached, G, np.iinfo(np.int64).min)  # [sign, s]
     order = np.arange(N + P) % P  # swept prefix index t reads prefix row t mod P
@@ -771,9 +763,9 @@ def _scan_input(source, extent: int, M: int | None, max_cells: int | None):
 
     A latin coloring at extent N >= M becomes one plane, M * [color = 1] - 1,
     on one period of axis-1 rows e = 1..M, under M windows of
-    min(N, max(2M - 2, 1)) cells, over trailing extent T = that span if the
-    coloring passes ``verify_latin`` (which also enables the slab cut (b)
-    of ``_scan_boxes``), else T = N.  Anything else becomes M planes
+    min(N, max(2M - 2, 1)) cells, over trailing extent T = M if N >= 2M - 2
+    and the coloring passes ``verify_latin`` (which also enables the slab
+    cut (b) of ``_scan_boxes``), else T = N.  Anything else becomes M planes
     M * [color = c] - 1 on [N]^d.  ``recount`` gives a box's per-color
     counts by a route independent of the scan.  Labels and color grids are
     built only once the larger prefix table fits the cell budget.
@@ -785,8 +777,9 @@ def _scan_input(source, extent: int, M: int | None, max_cells: int | None):
     if isinstance(coloring, LatinColoring) and extent >= M:
         span = min(extent, max(2 * M - 2, 1))
         balanced = verify_latin(coloring).ok
-        _check_scan_budget(M, span if balanced else extent, d, 1, max_cells)
-        resid = np.arange(span if balanced else extent, dtype=np.int64) % M
+        T = M if balanced and extent >= 2 * M - 2 else extent
+        _check_scan_budget(M, T, d, 1, max_cells)
+        resid = np.arange(T, dtype=np.int64) % M
         anchors = coloring.anchor_tensor()[np.ix_(*[resid] * (d - 1))] - 1  # (T,)*(d-1)
         e = np.arange(1, M + 1, dtype=np.int64).reshape((-1,) + (1,) * (d - 1))
         labels = (e - anchors) % M  # color - 1 of extended cell e, which repeats with period M
@@ -848,36 +841,35 @@ def disc_report(
 
         A box's sum is S(j) - S(i) for prefix indices i < j of its window,
         at most the slab's spread, for the plane and its negation alike.
-        Conversely, on a slab of spread G the M windows start at every
-        residue, one of them at a minimum of S, and that window holds the
-        next maximum of S, at most M - 1 <= N indices on; the window that
-        starts at a maximum holds the next minimum.  So both signs peak at
-        exactly G, for every LatinColoring at N >= M.
+        Conversely, on a slab of spread G (a G-slab) the M windows start
+        at every residue, one of them at a minimum of S, and that window
+        holds the next maximum of S, at most M - 1 <= N indices on (one
+        when S is constant, M = 1); the window that starts at a maximum
+        holds the next minimum.  So both signs peak at exactly G.
 
-        Witness rule.  A pair reaches G only on a slab of spread G (a
-        G-slab), running from a minimum of S to a maximum (sign +) or from
-        a maximum to a minimum (sign -).  In the window [s, s + N] the
-        lex-min such pair takes i, the first minimum at or after s, and j,
-        the first maximum after i, and exists iff j <= s + N: the first
-        maximum after i does not decrease with i, so no later i does better.
-        Each sign's lex-min witness over all windows, and every window that
-        reaches G, are therefore read off the G-slabs in closed form
-        (``_spread_first``).  A window no G-slab reaches has a per-color
-        figure below G; only those windows are swept, over the slabs whose
-        spread exceeds the window's floor.  From N >= 2M - 2 every window
-        is reached (i - s and j - i are at most M - 1), so the per-color
-        vectors are constant and nothing is swept.
-    (d) Clamped extent: the scan runs at N' = min(N, max(2M - 2, 1)) and
-        reports N.  Along axis 1: for N >= 2M - 2, by (c), every window's
-        figure is G and its lex-min pair has j - s <= 2M - 2 (with j = s +
-        1 when S is constant, M = 1), so a window of N' cells has the same
-        figure and the same lex-min axis-1 range.  This needs only (a)'s
-        premise, so it holds for every latin coloring.
-        Along axes 2..d, for a coloring that passes ``verify_latin``, the
-        slabs kept by (b) have lo <= M and hi <= lo + M - 2 <= 2M - 2 (or
-        the unit range when M = 1), so the trailing extent is T = N'.  A
-        verified coloring therefore costs the same at N = 10^6 as at
-        2M - 2; one that fails ``verify_latin`` keeps T = N.
+        Witness rule.  A pair reaching G runs on a G-slab from a minimum
+        of S to a maximum (sign +; sign - swaps them).  Window [s, s + N]
+        holds one iff j <= s + N, for i the first minimum at or after s
+        and j the first maximum after i (which no later i moves earlier).
+        By the converse, every witness starts at x_1 = 1 (s = i): it lies
+        on a G-slab of least trailing lower corner, with the least j - i,
+        then the least trailing upper corner, then the last s.  It, and
+        the windows that reach G, are read off the G-slabs in closed form
+        (``_spread_first``); only the other windows are swept, over the
+        slabs whose spread exceeds their floor.  From N >= 2M - 2 every
+        window is reached (i - s and j - i are at most M - 1), so the
+        per-color vectors are constant.
+    (d) Clamped extent: from N >= 2M - 2 the scan runs at N' = 2M - 2
+        (1 at M = 1) and reports N: by (c) every window's figure is G
+        either way, and the witness, with j - s <= M - 1, is a box of
+        both.  A coloring that passes ``verify_latin`` then needs only the
+        trailing ranges inside [1, M] (T = M): a kept range (b) [a, b]
+        with a <= M < b and its periodic complement [b + 1 - M, a - 1]
+        fill M consecutive cells of each line, which sum to 0, so their
+        slabs' S are negatives, of the same spread, and the complement's
+        lower corner is smaller, so no witness wraps, by (c).  So it costs
+        the same at N = 10^6 as at N = M; a coloring that fails
+        ``verify_latin`` keeps T = N.
 
     Every witness is recounted independently (the grid for M planes, the
     anchor histogram ``periodic_box_counts`` for one plane), its deviations
@@ -896,7 +888,8 @@ def disc_report(
     plus_col, (plus_lo, plus_hi, plus_color) = tracks[0]
     plus = int(plus_col.max())
     plus_box = Box(lo=plus_lo, hi=plus_hi)
-    check = _validate_witness(recount(plus_box), plus_box, plus_color)
+    counts = recount(plus_box)
+    check = _validate_witness(counts, plus_box, plus_color)
     if check != plus:
         raise AssertionError(
             f"witness recount mismatch: box {plus_box} color {plus_color} "
@@ -909,7 +902,9 @@ def disc_report(
         disc = max(int(peaks.max()) for peaks, _ in tracks)
         abs_lo, abs_hi, abs_color = min(key for peaks, key in tracks if peaks.max() == disc)
         abs_box = Box(lo=abs_lo, hi=abs_hi)
-        check = _validate_witness(recount(abs_box), abs_box, abs_color)
+        if (abs_box, abs_color) != (plus_box, plus_color):  # else the same recount
+            counts = recount(abs_box)
+        check = _validate_witness(counts, abs_box, abs_color)
         if abs(check) != disc:
             raise AssertionError(
                 f"witness recount mismatch: box {abs_box} color {abs_color} "
@@ -1162,7 +1157,22 @@ def report_to_dict(report: DiscReport) -> dict:
     return out
 
 
+_ENTRY = '    {{\n      "color": {},\n      "disc_num": {},\n      "disc_plus_num": {}\n    }}'
+
+
 def save_report(report: DiscReport, path) -> None:
-    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    """Write ``json.dumps(report_to_dict(report), indent=2, sort_keys=True)`` and a newline.
+
+    As in ``scheme_to_json_bytes``, the per-color entries are printed from
+    one template into an empty list: the keys before it hold numbers.
+    """
+    data = report_to_dict(report)
+    rows, data["per_color"] = data["per_color"], []
+    head, tail = json.dumps(data, indent=2, sort_keys=True).split('"per_color": []', 1)
+    entries = ",\n".join(
+        _ENTRY.format(e["color"], "null" if e["disc_num"] is None else e["disc_num"],
+                      e["disc_plus_num"])
+        for e in rows
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(f'{head}"per_color": [\n{entries}\n  ]{tail}\n')

@@ -356,22 +356,34 @@ def test_extent_below_period():
     assert want["plus"] >= 1
 
 
-def test_report_pinned_where_slabs_span_many_chunks():
-    # These scans cut their slabs into 35 and 13 chunks; the literals come
-    # from the per-slab scan the chunked kernel replaced, so a tie resolved
-    # within one chunk instead of across all of them changes a witness.
+def test_report_pinned_where_slabs_span_many_chunks(monkeypatch):
+    # The literals come from the per-slab scan the chunked kernel replaced.
+    # At the default chunk size each scan runs in one chunk; at 64 elements
+    # their slabs span 5 and 28 chunks, so a tie resolved within one chunk
+    # instead of across all of them changes a witness.
     cases = {
         (8, 2, 40): (16, 16, ((1, 1), (4, 4), 8), ((1, 1), (4, 4), 4), (16,) * 8, (16,) * 8),
         (5, 3, 9): (8, 8, ((1, 1, 1), (2, 2, 3), 3), ((1, 1, 1), (2, 2, 2), 1), (8,) * 5, (8,) * 5),
     }
-    for (M, d, N), (plus, full, plus_key, abs_key, per_plus, per_abs) in cases.items():
-        rep = disc_report(make_baseline("cyclic", M, d), N)
-        box, color = rep.disc_plus_witness
-        abox, acolor = rep.disc_witness
-        assert rep.disc_plus.num == plus and rep.disc.num == full
-        assert (box.lo, box.hi, color) == plus_key
-        assert (abox.lo, abox.hi, acolor) == abs_key
-        assert rep.per_color_plus == per_plus and rep.per_color_abs == per_abs
+    counted, spread_first = [], discrepancy._spread_first
+
+    def count_chunks(chunk, chunks, *args):
+        counted.append(len(chunks))
+        return spread_first(chunk, chunks, *args)
+
+    monkeypatch.setattr(discrepancy, "_spread_first", count_chunks)
+    for chunk, spans in ((discrepancy._CHUNK_ELEMS, [1, 1]), (64, [5, 28])):
+        counted.clear()
+        with mock.patch.object(discrepancy, "_CHUNK_ELEMS", chunk):
+            for (M, d, N), (plus, full, plus_key, abs_key, per_plus, per_abs) in cases.items():
+                rep = disc_report(make_baseline("cyclic", M, d), N)
+                box, color = rep.disc_plus_witness
+                abox, acolor = rep.disc_witness
+                assert rep.disc_plus.num == plus and rep.disc.num == full
+                assert (box.lo, box.hi, color) == plus_key
+                assert (abox.lo, abox.hi, acolor) == abs_key
+                assert rep.per_color_plus == per_plus and rep.per_color_abs == per_abs
+        assert counted == spans
 
 
 def _report_fields(rep):
@@ -497,6 +509,50 @@ def test_spread_first_reports_equal_the_grid_path(monkeypatch, chunk, M, d, mode
     assert (min(plus), max(plus)) == {"random": (126, 153)}.get(mode, (max(plus),) * 2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(MODES + ("skewed", "unverified")),
+    d=st.integers(min_value=1, max_value=5),
+    positive_only=st.booleans(),
+    data=st.data(),
+)
+def test_every_latin_witness_starts_at_the_first_row(mode, d, positive_only, data):
+    # On a slab of the largest spread G the window that starts at a minimum
+    # of its prefix sums holds the next maximum, so every witness, of disc+
+    # and of disc, has lo_1 = 1 at every N >= M; this holds for every anchor
+    # map, verified or not.
+    disks = st.integers(1, {1: 40, 2: 40, 3: 12, 4: 6, 5: 3}[d])
+    if mode == "unverified":
+        M = data.draw(disks, label="M")
+        cells = M ** (d - 1)
+        anchor = data.draw(st.lists(st.integers(1, M), min_size=cells, max_size=cells))
+        scheme = LatinColoring(M=M, d=d, anchor=anchor)
+    else:
+        scheme = _draw_latin(mode, d, disks, data)
+    N = data.draw(st.integers(scheme.M, 3 * scheme.M + 1), label="N")
+    rep = disc_report(scheme, N, positive_only=positive_only)
+    witnesses = [rep.disc_plus_witness] + ([] if positive_only else [rep.disc_witness])
+    assert [box.lo[0] for box, _ in witnesses] == [1] * len(witnesses)
+
+
+@pytest.mark.parametrize("mode, M, d", [("cyclic", 8, 2), ("smallbase", 9, 3), ("cyclic", 1, 2)])
+def test_latin_table_at_a_million_is_the_table_at_n_equals_m(monkeypatch, mode, M, d):
+    # From N = 2M - 2 on a verified coloring is scanned on trailing ranges
+    # inside [1, M], so its summed-area table is the one of N = M.
+    shapes, prefix_table = [], discrepancy._prefix_table
+
+    def record(labels, weights):
+        table = prefix_table(labels, weights)
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(discrepancy, "_prefix_table", record)
+    scheme = generate_scheme(M, d, mode)
+    reports = [_report_fields(disc_report(scheme, N)) for N in (M, max(2 * M - 2, M), 10**6)]
+    assert shapes == [(M + 1,) * d + (1,)] * 3
+    assert reports[1]["disc_num"] == reports[2]["disc_num"] == reports[0]["disc_num"]
+
+
 def test_spread_first_sweeps_only_windows_below_the_spread(monkeypatch):
     swept, gathered = [], []
     window_best, lex_min_box = discrepancy._window_best, discrepancy._lex_min_box
@@ -538,6 +594,23 @@ def test_scan_refuses_windows_it_does_not_sweep():
             discrepancy._scan_boxes(labels, weights, **scan)
     with pytest.raises(ParameterError, match="windows"):
         discrepancy._scan_boxes(labels, np.array([[0], [0]]), extent=3, windows=3)
+
+
+def test_one_recount_when_both_witnesses_are_the_same_box_and_color(monkeypatch):
+    # cyclic M=3: disc and disc+ share the witness [1..1]x[1..1], color 3;
+    # cyclic M=8: they differ in color.  Each witness is still validated.
+    recounts, validated = [], []
+    counts, validate = discrepancy.periodic_box_counts, discrepancy._validate_witness
+    monkeypatch.setattr(discrepancy, "periodic_box_counts",
+                        lambda *a: recounts.append(a) or counts(*a))
+    monkeypatch.setattr(discrepancy, "_validate_witness",
+                        lambda *a: validated.append(a) or validate(*a))
+    for M, same in ((3, True), (8, False)):
+        recounts.clear()
+        validated.clear()
+        rep = disc_report(make_baseline("cyclic", M, 2), M)
+        assert (rep.disc_witness == rep.disc_plus_witness) == same
+        assert (len(recounts), len(validated)) == (1 if same else 2, 2)
 
 
 def test_latin_path_builds_no_color_grid(monkeypatch):
@@ -840,12 +913,12 @@ def test_budget_guard_env_var(monkeypatch):
 
 
 def test_budget_counts_the_cells_the_latin_path_allocates():
-    # one plane over one period of M axis-1 rows and trailing extent
-    # T = min(N, 2M - 2): (M + 1) * (T + 1)^(d-1) cells, not M planes
+    # one plane over one period of M axis-1 rows and trailing extent T = M
+    # from N = 2M - 2 on: (M + 1) * (T + 1)^(d-1) cells, not M planes
     scheme = make_baseline("cyclic", 4, 2)
-    cells = (4 + 1) * (6 + 1)
+    cells = (4 + 1) * (4 + 1)
     assert disc_report(scheme, 10, max_cells=cells).disc_plus.num > 0
-    with pytest.raises(BudgetExceededError, match=f"5 \\* 7\\^1 \\* 1 = {cells} cells"):
+    with pytest.raises(BudgetExceededError, match=f"5 \\* 5\\^1 \\* 1 = {cells} cells"):
         disc_report(scheme, 10, max_cells=cells - 1)
 
 
@@ -939,13 +1012,31 @@ def test_report_dict_shape(tmp_path):
     assert json.loads(path.read_text()) == json.loads(json.dumps(data))
 
 
-def test_save_report_writes_the_canonical_json_bytes(tmp_path):
-    path = tmp_path / "report.json"
-    for positive_only in (False, True):
-        rep = disc_report(make_baseline("cyclic", 5, 2), 8, positive_only=positive_only)
-        save_report(rep, path)
-        want = json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
-        assert path.read_bytes() == want.encode()
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(MODES + ("grid",)),
+    d=st.integers(min_value=1, max_value=3),
+    positive_only=st.booleans(),
+    data=st.data(),
+)
+def test_save_report_writes_the_canonical_json_bytes(tmp_path_factory, mode, d, positive_only,
+                                                     data):
+    # the per-color entries are printed from a template, not by json
+    M = data.draw(st.integers(1, {1: 12, 2: 9, 3: 4}[d]), label="M")
+    if mode == "grid":
+        N = data.draw(st.integers(1, {1: 12, 2: 6, 3: 3}[d]), label="N")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        source = np.random.default_rng(seed).integers(1, M + 1, size=(N,) * d)
+        rep = disc_report(source, N, M=M, positive_only=positive_only)
+    else:
+        scheme = _scheme_or_none(M, d, mode)
+        assume(scheme is not None)
+        rep = disc_report(scheme, data.draw(st.integers(1, 2 * M + 1), label="N"),
+                          positive_only=positive_only)
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    save_report(rep, path)
+    want = json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
 
 
 def test_report_dict_positive_only():

@@ -378,6 +378,8 @@ def make_baseline(
         )
     if kind == "random":
         seed = 0 if seed is None else int(seed)
+        if seed < 0:
+            raise ParameterError(f"random seed must be >= 0, got {seed}")
         rng = np.random.Generator(np.random.PCG64(seed))
         base = make_baseline("cyclic", M, d)
         perms = [rng.permutation(M) for _ in range(d)]  # 0-based value relabelings

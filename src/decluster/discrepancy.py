@@ -25,26 +25,26 @@ a maximum-subarray sweep of each slab's prefix sums (Bentley, Programming
 Pearls, CACM 1984), for both signs in one pass: O(K * N * slabs) work in
 all.  Ties are resolved across all chunks, not within one.
 
-On a latin coloring four facts, proved in ``_scan_boxes`` and
+On a latin coloring three facts, proved in ``_scan_boxes`` and
 ``disc_report``, cut the scan to a size that stops growing with N:
 
 - (a) one period of axis-1 rows: P = M rows suffice;
-- (b) fewer slabs: for a coloring that passes ``verify_latin``, only
-  trailing ranges with lo <= M and length < M are scanned;
+- (b) one period of trailing ranges: for a coloring that passes
+  ``verify_latin``, only the trailing ranges inside [1, M] are scanned,
+  at every N >= M; a range that wraps past M has the negated sums of one
+  of them;
 - (c) spread first: at every N >= M, disc+ = disc = G, the largest
   one-period spread max S - min S of a slab's prefix sums S.  Every
   witness starts at x_1 = 1; it and the windows reaching G are read off
   the slabs of spread G in closed form, and only the other windows (none
-  from N >= 2M - 2) are swept;
-- (d) clamped extent: from N >= 2M - 2 the scan runs at N = 2M - 2 and,
-  for a verified coloring, on trailing ranges inside [1, M].
+  from N >= 2M - 2) are swept.
 
 Its three callers rank the result by their own tie rule:
 
 - ``disc_report``: one plane M * [color = c] - 1 per color and one window
   on [N]^d (P = T = N, every slab), or, for a latin coloring at N >= M, the
   plane of color 1 under M windows (window c - 1 is color c, by the shift
-  property) with (a)-(d).  disc+ is the largest sum and disc the largest
+  property) with (a)-(c).  disc+ is the largest sum and disc the largest
   magnitude, each witnessed by the lex-min (lo, hi, color) attaining it.
 - ``find_positive_witness``: one plane for the chosen color, ranked by
   (|deviation|, deviation > 0, lex-min (lo, hi)).
@@ -479,7 +479,6 @@ def _scan_boxes(
     *,
     extent: int | None = None,
     windows: int = 1,
-    period: int | None = None,
     signs: tuple[int, ...] = (1, -1),
     max_cells: int | None = None,
 ) -> list:
@@ -494,16 +493,16 @@ def _scan_boxes(
       The scanned axis-1 extent has N + P - 1 cells, and its cell e
       (0-based) is row e mod P of ``labels``.  Window w is the N
       consecutive cells that end w cells before the last; a box in it has
-      axis-1 corners counted from the window's first cell.
+      axis-1 corners counted from the window's first cell.  The trailing
+      extent is N; with T < N the caller promises (b).
 
-    The trailing ranges ("slabs") are every [lo, hi] within [1, T] on each
-    of axes 2..d, or, with ``period``, only those with lo <= period and
-    hi - lo + 1 <= max(period - 1, 1).  Returns one (peaks, key) per entry
-    of ``signs``: peaks[k*W + w] is the largest box sum of sign * plane k
-    in window w, and key the lex-min (lo, hi, k*W + w + 1) attaining
-    peaks.max(), with 1-based inclusive corners.  The cell budget counts
-    the prefix table, (P + 1) * (T + 1)^(d-1) * K cells, and is checked
-    before any allocation.
+    The slabs are every trailing range [lo, hi] within [1, T] on each of
+    axes 2..d.  Returns one (peaks, key) per entry of ``signs``:
+    peaks[k*W + w] is the largest box sum of sign * plane k in window w,
+    and key the lex-min (lo, hi, k*W + w + 1) attaining peaks.max(), with
+    1-based inclusive corners.  The cell budget counts the prefix table,
+    (P + 1) * (T + 1)^(d-1) * K cells, and is checked before any
+    allocation.
 
     The prefix table is summed over every axis (``_prefix_table``), so a
     slab's axis-1 prefix sums S(0..P) are one difference per trailing axis
@@ -522,22 +521,22 @@ def _scan_boxes(
     S(t + P) = S(t) + 0: the prefix table holds P + 1 rows, and the
     windows read S[t mod P].
 
-    (b) Fewer slabs.  ``period`` promises that every plane is balanced
-    along each trailing axis too: the labels repeat with that period along
-    it, and the weights of ``period`` consecutive cells of any line along
-    it sum to 0.  A range [lo, hi] of length >= period then gives the same
-    line sums as [lo, hi - period], because the cells removed form, for
-    every axis-1 row and every position on the other axes, one run of
-    ``period`` consecutive cells.  A range with lo > period gives the same
-    line sums as [lo - period, hi - period], by the repetition.  Both
-    replacements keep every other range and the window and have a
-    lex-smaller (lo, hi), so repeating them ends at a kept range, or at an
-    empty one whose boxes sum to 0.  Hence every box sum that is not 0 is
-    taken by a box on a kept slab, and the lex-min box attaining a
-    positive peak is on one.  The caller promises that every entry of
-    every sign's peaks is positive, or that period = 1; then every weight
-    is 0, every box ties at 0, and the lex-min box, [1, 1] on every axis,
-    has a kept slab.
+    (b) One period of trailing ranges.  Under P windows with T < N the
+    caller promises that ``labels`` repeat with period T along every
+    trailing axis and that T consecutive cells of any line along one sum
+    to 0.  On such an axis a range [lo, hi] of length >= T gives the same
+    line sums as [lo, hi - T] (the cells removed are one run of T per
+    line), one with lo > T the same as [lo - T, hi - T], and one that
+    wraps, lo <= T < hi, minus those of its complement [hi + 1 - T, lo - 1]:
+    the two fill T consecutive cells.  Each replacement keeps the other
+    ranges and has a lex-smaller (lo, hi), so every box sum is, up to sign,
+    one on a slab inside [1, T] (an empty range sums to 0, as [1, T] does).
+    Where pass 2 of ``_spread_first`` sweeps a chunk, it adds the negation
+    of each slab with 2 <= lo <= N - T + 1 and hi < T on some axis: the
+    complement of the range [hi + 1, lo - 1 + T], which wraps inside
+    [1, N].  The keys read real slabs only: the complement of a wrapped
+    slab of spread G has spread G and a smaller lower corner, and reaches G
+    at x_1 = 1 for either sign (``disc_report`` (c)), so no witness wraps.
     """
     P, d, K, W = labels.shape[0], labels.ndim, weights.shape[0], windows
     N, T = (P if extent is None else extent), labels.shape[-1]
@@ -551,12 +550,7 @@ def _scan_boxes(
     _check_scan_budget(P, T, d, K, max_cells)
     table = _prefix_table(labels, weights)
 
-    pair_lo, pair_hi = np.triu_indices(T)  # 0-based lo <= hi, one per axis range
-    if period is not None:
-        keep = (pair_lo < period) & (pair_hi - pair_lo < max(period - 1, 1))
-        pair_lo, pair_hi = pair_lo[keep], pair_hi[keep]
-    pair_lo += 1
-    pair_hi += 1
+    pair_lo, pair_hi = np.add(np.triu_indices(T), 1)  # lo <= hi, one per axis range
     ranges = len(pair_lo)
     # Ranges per chunk on each trailing axis: all of them on the last axes
     # that fit in ``room`` slabs, a block on the axis before them, one on
@@ -599,7 +593,7 @@ def _scan_boxes(
 
     chunks = range(math.prod(blocks))
     if windowed:
-        return _spread_first(chunk, chunks, P, N, signs)
+        return _spread_first(chunk, chunks, P, N, T, signs)
     tracks = [[np.full(K, np.iinfo(np.int64).min, dtype=np.int64), None] for _ in signs]
     for c in chunks:
         sums, corners = chunk(c)
@@ -675,7 +669,7 @@ def _spread_keys(S: np.ndarray, signs: tuple[int, ...], lo_t: tuple, hi_t) -> li
     return keys
 
 
-def _spread_first(chunk, chunks, P: int, N: int, signs: tuple[int, ...]) -> list:
+def _spread_first(chunk, chunks, P: int, N: int, T: int, signs: tuple[int, ...]) -> list:
     """``_scan_boxes`` for one plane under W = P windows of N >= P cells, from the spreads.
 
     Window s is the prefix indices [s, s + N], s = 0..P-1 (window w = P - 1
@@ -689,11 +683,13 @@ def _spread_first(chunk, chunks, P: int, N: int, signs: tuple[int, ...]) -> list
     earlier G-slab's is smaller, and, until every window is reached, holds
     the G-slab columns for ``_reached``, settling them before they pass
     half of ``_CHUNK_ELEMS`` elements.  A window no G-slab reaches has a
-    peak below G, and only slabs whose spread exceeds the window's current
-    floor can raise it, so pass 2 revisits chunks in descending order of
-    their largest spread, sweeps those slabs with ``_window_best`` (the
-    widest spreads first, so that the floors rise before the rest are
-    filtered), and stops once no chunk can beat the lowest floor.
+    peak below G or is reached on a wrap, and only columns whose spread
+    exceeds the window's current floor can raise it, so pass 2 revisits
+    chunks in descending order of their largest spread, sweeps those
+    columns and their wraps (fact (b), trailing extent T) with
+    ``_window_best`` (the widest spreads first, so that the floors rise
+    before the rest are filtered), and stops once no chunk can beat the
+    lowest floor.
     """
     room = max(1, _CHUNK_ELEMS // (2 * P))  # G-slab columns per ``_reached`` call
     G, tops, held, keys, lowest = -1, [], [], [], None  # held: G-slab columns not yet settled
@@ -736,16 +732,22 @@ def _spread_first(chunk, chunks, P: int, N: int, signs: tuple[int, ...]) -> list
     keys = [min(k) for k in zip(*keys)]
 
     peaks = np.where(reached, G, np.iinfo(np.int64).min)  # [sign, s]
-    order = np.arange(N + P) % P  # swept prefix index t reads prefix row t mod P
+    # swept prefix index t reads prefix row t mod P; from N >= 2P - 2 nothing is swept
+    order = np.arange(min(N, max(2 * P - 2, 1)) + P) % P
     batch = max(1, _CHUNK_ELEMS // len(order))
     for c in np.argsort(tops, kind="stable")[::-1]:
         if tops[c] <= peaks.min():
             break
         if c != last:  # pass 1 ends holding the last chunk
             last = c
-            sums = chunk(c)[0]
-        S = sums[:, :, 0]
-        spread = S[:P].max(axis=0) - S[:P].min(axis=0)
+            sums, corners = chunk(c)
+        S = sums[:P, :, 0]
+        if T < N:  # fact (b): each range that wraps inside [1, N] is minus a slab here
+            wraps = np.zeros(S.shape[1], dtype=bool)
+            for lo, hi in zip(*corners(np.arange(S.shape[1]))):
+                wraps |= (2 <= lo) & (lo <= N - T + 1) & (hi < T)
+            S = np.concatenate((S, -S[:, wraps]), axis=1)
+        spread = S.max(axis=0) - S.min(axis=0)
         cols = np.argsort(-spread, kind="stable")
         size = _FIRST_SWEEP
         while True:
@@ -762,10 +764,9 @@ def _scan_input(source, extent: int, M: int | None, max_cells: int | None):
     """What ``disc_report`` scans: (labels, weights, scan options, recount, M, d).
 
     A latin coloring at extent N >= M becomes one plane, M * [color = 1] - 1,
-    on one period of axis-1 rows e = 1..M, under M windows of
-    min(N, max(2M - 2, 1)) cells, over trailing extent T = M if N >= 2M - 2
-    and the coloring passes ``verify_latin`` (which also enables the slab
-    cut (b) of ``_scan_boxes``), else T = N.  Anything else becomes M planes
+    on one period of axis-1 rows e = 1..M, under M windows of N cells, over
+    trailing extent T = M if the coloring passes ``verify_latin`` (fact (b)
+    of ``_scan_boxes``), else T = N.  Anything else becomes M planes
     M * [color = c] - 1 on [N]^d.  ``recount`` gives a box's per-color
     counts by a route independent of the scan.  Labels and color grids are
     built only once the larger prefix table fits the cell budget.
@@ -775,16 +776,14 @@ def _scan_input(source, extent: int, M: int | None, max_cells: int | None):
         M, d = coloring.M, coloring.d
         check_axes(d + 1, d)  # the prefix table of ``_scan_boxes``
     if isinstance(coloring, LatinColoring) and extent >= M:
-        span = min(extent, max(2 * M - 2, 1))
-        balanced = verify_latin(coloring).ok
-        T = M if balanced and extent >= 2 * M - 2 else extent
+        T = M if verify_latin(coloring).ok else extent
         _check_scan_budget(M, T, d, 1, max_cells)
         resid = np.arange(T, dtype=np.int64) % M
         anchors = coloring.anchor_tensor()[np.ix_(*[resid] * (d - 1))] - 1  # (T,)*(d-1)
         e = np.arange(1, M + 1, dtype=np.int64).reshape((-1,) + (1,) * (d - 1))
         labels = (e - anchors) % M  # color - 1 of extended cell e, which repeats with period M
         weights = M * (np.arange(M) == 0).astype(np.int64)[None, :] - 1
-        scan = {"extent": span, "windows": M, "period": M if balanced else None}
+        scan = {"extent": extent, "windows": M}
         return labels, weights, scan, functools.partial(periodic_box_counts, coloring), M, d
     if isinstance(coloring, LatinColoring) and extent >= 1:
         _check_scan_budget(extent, extent, d, M, max_cells)
@@ -828,11 +827,10 @@ def disc_report(
         other cells (weight -1) in every M consecutive cells, so the
         extended cells need one period of M rows.
     (b) A coloring that passes ``verify_latin`` (checked once per
-        coloring) has the same property along every trailing axis, and its
-        peaks are positive when M >= 2: each window of N >= M cells holds
-        a cell of color c (deviation M - 1) and, for M >= 2, one of another
-        color (deviation -1).  M = 1 is the period-1 case.  So only slabs
-        with lo <= M and sides < M are scanned.
+        coloring) has the same property along every trailing axis, whose
+        labels repeat with period M, so at every N >= M only the trailing
+        ranges inside [1, M] are scanned (T = M): N = 10^6 costs what
+        N = M costs.  A coloring that fails ``verify_latin`` keeps T = N.
     (c) Spread first.  Write S for a slab's prefix sums along axis 1
         (period M by (a)), a slab's spread for max S - min S, and G for the
         largest spread.  Then, at every N >= M,
@@ -856,20 +854,9 @@ def disc_report(
         then the least trailing upper corner, then the last s.  It, and
         the windows that reach G, are read off the G-slabs in closed form
         (``_spread_first``); only the other windows are swept, over the
-        slabs whose spread exceeds their floor.  From N >= 2M - 2 every
-        window is reached (i - s and j - i are at most M - 1), so the
-        per-color vectors are constant.
-    (d) Clamped extent: from N >= 2M - 2 the scan runs at N' = 2M - 2
-        (1 at M = 1) and reports N: by (c) every window's figure is G
-        either way, and the witness, with j - s <= M - 1, is a box of
-        both.  A coloring that passes ``verify_latin`` then needs only the
-        trailing ranges inside [1, M] (T = M): a kept range (b) [a, b]
-        with a <= M < b and its periodic complement [b + 1 - M, a - 1]
-        fill M consecutive cells of each line, which sum to 0, so their
-        slabs' S are negatives, of the same spread, and the complement's
-        lower corner is smaller, so no witness wraps, by (c).  So it costs
-        the same at N = 10^6 as at N = M; a coloring that fails
-        ``verify_latin`` keeps T = N.
+        slabs and wraps (b) whose spread exceeds their floor.  From
+        N >= 2M - 2 every window is reached (i - s and j - i are at most
+        M - 1), so the per-color vectors are constant and nothing is swept.
 
     Every witness is recounted independently (the grid for M planes, the
     anchor histogram ``periodic_box_counts`` for one plane), its deviations

@@ -250,8 +250,8 @@ def _check_provenance(scheme: Scheme) -> None:
         if not isinstance(skews, list) or not all(type(v) is int for v in skews):
             raise SchemeFormatError(f"cyclic skews must be a list of integers, got {skews!r}")
     elif scheme.mode == "random":
-        if type(prov.get("seed", 0)) is not int:
-            raise SchemeFormatError(f"random seed must be an integer, got {prov['seed']!r}")
+        if type(prov.get("seed", 0)) is not int or prov.get("seed", 0) < 0:
+            raise SchemeFormatError(f"random seed must be an integer >= 0, got {prov['seed']!r}")
         if prov.get("base", "cyclic") != "cyclic":
             raise SchemeFormatError(f"random schemes scramble the cyclic one, not {prov['base']!r}")
 

@@ -111,6 +111,26 @@ def test_generate_impossible_parameters_exit_1(tmp_path, capsys):
     assert "error:" in stderr and "q1+1" in stderr
 
 
+def test_generate_refuses_a_negative_random_seed(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code, stdout, stderr = run(capsys, "generate", "--disks", "5", "--dim", "2", "--mode",
+                               "random", "--seed", "-1", "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert stderr.startswith("error: ") and "seed" in stderr and "Traceback" not in stderr
+
+
+def test_verify_refuses_a_negative_random_seed_in_provenance(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(capsys, "generate", "--disks", "5", "--dim", "2", "--mode", "random",
+               "--seed", "3", "--out", str(out))[0] == 0
+    doc = json.loads(out.read_text())
+    doc["provenance"]["seed"] = -5
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", "--scheme", str(out))
+    assert code == 1 and stderr == ""
+    assert "FAIL: " in stdout and "-5" in stdout and "PASS" not in stdout
+
+
 def test_verify_tampered_scheme_fails(tmp_path, capsys):
     out = tmp_path / "scheme.json"
     run(capsys, "generate", "--disks", "5", "--dim", "2", "--mode", "cyclic",

@@ -359,8 +359,9 @@ def test_extent_below_period():
 def test_report_pinned_where_slabs_span_many_chunks(monkeypatch):
     # The literals come from the per-slab scan the chunked kernel replaced.
     # At the default chunk size each scan runs in one chunk; at 64 elements
-    # their slabs span 5 and 28 chunks, so a tie resolved within one chunk
-    # instead of across all of them changes a witness.
+    # their slabs, every trailing range inside [1, M] including the full
+    # one, span 6 and 30 chunks, so a tie resolved within one chunk instead
+    # of across all of them changes a witness.
     cases = {
         (8, 2, 40): (16, 16, ((1, 1), (4, 4), 8), ((1, 1), (4, 4), 4), (16,) * 8, (16,) * 8),
         (5, 3, 9): (8, 8, ((1, 1, 1), (2, 2, 3), 3), ((1, 1, 1), (2, 2, 2), 1), (8,) * 5, (8,) * 5),
@@ -372,7 +373,7 @@ def test_report_pinned_where_slabs_span_many_chunks(monkeypatch):
         return spread_first(chunk, chunks, *args)
 
     monkeypatch.setattr(discrepancy, "_spread_first", count_chunks)
-    for chunk, spans in ((discrepancy._CHUNK_ELEMS, [1, 1]), (64, [5, 28])):
+    for chunk, spans in ((discrepancy._CHUNK_ELEMS, [1, 1]), (64, [6, 30])):
         counted.clear()
         with mock.patch.object(discrepancy, "_CHUNK_ELEMS", chunk):
             for (M, d, N), (plus, full, plus_key, abs_key, per_plus, per_abs) in cases.items():
@@ -535,10 +536,48 @@ def test_every_latin_witness_starts_at_the_first_row(mode, d, positive_only, dat
     assert [box.lo[0] for box, _ in witnesses] == [1] * len(witnesses)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    mode=st.sampled_from(tuple(m for m in MODES if m != "checkerboard") + ("skewed",)),
+    d=st.integers(min_value=2, max_value=4),
+    positive_only=st.booleans(),
+    data=st.data(),
+)
+def test_no_band_witness_wraps_past_the_period(mode, d, positive_only, data):
+    # At M < N < 2M - 2 a trailing range that wraps past M has the negated
+    # sums of its complement inside [1, M], whose lower corner is smaller,
+    # so no witness of a verified coloring reaches past M on axes 2..d.
+    # The band is empty below M = 4, so checkerboard (M = 2) has none.
+    scheme = _draw_latin(mode, d, st.integers(4, {2: 40, 3: 12, 4: 6}[d]), data)
+    M = scheme.M
+    assert verify_latin(scheme.coloring).ok
+    N = data.draw(st.integers(M + 1, 2 * M - 3), label="N")
+    rep = disc_report(scheme, N, positive_only=positive_only)
+    witnesses = [rep.disc_plus_witness] + ([] if positive_only else [rep.disc_witness])
+    assert [max(box.hi[1:]) <= M for box, _ in witnesses] == [True] * len(witnesses)
+
+
+@pytest.mark.parametrize(
+    "mode, M, d, N",
+    [("random", 8, 2, 9), ("random", 9, 3, 12), ("smallbase", 8, 3, 9),
+     ("smallbase", 16, 2, 17), ("random", 12, 2, 13)],
+)
+def test_band_reports_need_exactly_the_wraps_that_fit(mode, M, d, N):
+    # The first four have a window whose peak lies only on trailing ranges
+    # that wrap past M, so without their negated complements its figure
+    # drops; in the last two, negating a complement whose wrap ends past N
+    # would add a box the grid does not have.
+    scheme = generate_scheme(M, d, mode, seed=0)
+    for positive_only in (False, True):
+        latin, grid = _latin_vs_grid(scheme, N, positive_only)
+        assert latin == grid
+
+
 @pytest.mark.parametrize("mode, M, d", [("cyclic", 8, 2), ("smallbase", 9, 3), ("cyclic", 1, 2)])
 def test_latin_table_at_a_million_is_the_table_at_n_equals_m(monkeypatch, mode, M, d):
-    # From N = 2M - 2 on a verified coloring is scanned on trailing ranges
-    # inside [1, M], so its summed-area table is the one of N = M.
+    # At every N >= M a verified coloring is scanned on trailing ranges
+    # inside [1, M], so its summed-area table is the one of N = M, in the
+    # band M < N < 2M - 2 as well.
     shapes, prefix_table = [], discrepancy._prefix_table
 
     def record(labels, weights):
@@ -548,9 +587,10 @@ def test_latin_table_at_a_million_is_the_table_at_n_equals_m(monkeypatch, mode, 
 
     monkeypatch.setattr(discrepancy, "_prefix_table", record)
     scheme = generate_scheme(M, d, mode)
-    reports = [_report_fields(disc_report(scheme, N)) for N in (M, max(2 * M - 2, M), 10**6)]
-    assert shapes == [(M + 1,) * d + (1,)] * 3
-    assert reports[1]["disc_num"] == reports[2]["disc_num"] == reports[0]["disc_num"]
+    extents = (M, M + 1, max((3 * M - 2) // 2, M), max(2 * M - 2, M), 10**6)
+    reports = [_report_fields(disc_report(scheme, N)) for N in extents]
+    assert shapes == [(M + 1,) * d + (1,)] * len(extents)
+    assert len({report["disc_num"] for report in reports}) == 1
 
 
 def test_spread_first_sweeps_only_windows_below_the_spread(monkeypatch):
@@ -914,12 +954,14 @@ def test_budget_guard_env_var(monkeypatch):
 
 def test_budget_counts_the_cells_the_latin_path_allocates():
     # one plane over one period of M axis-1 rows and trailing extent T = M
-    # from N = 2M - 2 on: (M + 1) * (T + 1)^(d-1) cells, not M planes
+    # at every N >= M, the band N = 5 < 2M - 2 included:
+    # (M + 1) * (T + 1)^(d-1) cells, not M planes
     scheme = make_baseline("cyclic", 4, 2)
     cells = (4 + 1) * (4 + 1)
-    assert disc_report(scheme, 10, max_cells=cells).disc_plus.num > 0
-    with pytest.raises(BudgetExceededError, match=f"5 \\* 5\\^1 \\* 1 = {cells} cells"):
-        disc_report(scheme, 10, max_cells=cells - 1)
+    for N in (5, 10):
+        assert disc_report(scheme, N, max_cells=cells).disc_plus.num > 0
+        with pytest.raises(BudgetExceededError, match=f"5 \\* 5\\^1 \\* 1 = {cells} cells"):
+            disc_report(scheme, N, max_cells=cells - 1)
 
 
 def test_budget_counts_the_prefix_table_at_small_extent():
@@ -983,7 +1025,7 @@ def test_budget_guard_witness_and_geometric(monkeypatch):
 
 def test_scan_memory_is_the_table_and_a_few_chunks():
     # smallbase d=4, M=9: a 10^4-cell summed-area table and chunks of at most
-    # _CHUNK_ELEMS cells; the 44^3 slabs at once would take 6.8 MB
+    # _CHUNK_ELEMS cells; the 45^3 slabs at once would take 7.3 MB
     scheme = generate_scheme(9, 4, "smallbase")
     tracemalloc.start()
     try:

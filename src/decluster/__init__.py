@@ -10,7 +10,6 @@ from .coloring import (
     LatinColoring,
     Scheme,
     color_grid,
-    coloring_from_net,
     export_map_csv,
     load_scheme,
     make_baseline,
@@ -23,14 +22,11 @@ from .coloring import (
 from .discrepancy import (
     Box,
     DiscReport,
-    GeoDisc,
-    RangeCounter,
     ScaledValue,
     WitnessCertificate,
     complement_decompose,
     disc_report,
     find_positive_witness,
-    geometric_discrepancy,
     periodic_box_counts,
     report_to_dict,
     save_report,
@@ -50,7 +46,6 @@ from .nets import (
     GeneratorSet,
     NetCheck,
     NetParams,
-    crt_compose,
     net_from_generators,
     pascal_power_generators,
     save_net,
@@ -59,7 +54,6 @@ from .nets import (
 from .schemegen import (
     Factorization,
     SweepRow,
-    build_net,
     factorize_canonical,
     generate_scheme,
     regenerate_scheme,
@@ -77,7 +71,6 @@ __all__ = [
     "ElementaryInterval",
     "Factorization",
     "GeneratorSet",
-    "GeoDisc",
     "InvalidNetError",
     "LatinColoring",
     "NetCheck",
@@ -85,17 +78,13 @@ __all__ = [
     "NetParams",
     "ParameterError",
     "PrimePowerField",
-    "RangeCounter",
     "ScaledValue",
     "Scheme",
     "SchemeFormatError",
     "SweepRow",
     "WitnessCertificate",
-    "build_net",
     "color_grid",
-    "coloring_from_net",
     "complement_decompose",
-    "crt_compose",
     "disc_report",
     "export_map_csv",
     "factorize_canonical",
@@ -104,7 +93,6 @@ __all__ = [
     "find_irreducible",
     "find_positive_witness",
     "generate_scheme",
-    "geometric_discrepancy",
     "is_prime",
     "load_scheme",
     "make_baseline",

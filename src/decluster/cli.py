@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Sequence
 
 from .coloring import export_map_csv, load_scheme, save_scheme
 from .discrepancy import (
@@ -38,12 +39,12 @@ def _parse_box(text: str) -> Box:
     return Box(lo=tuple(lo), hi=tuple(hi))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Comma list ("4,8") or inclusive range ("4..16"); nonempty."""
+def _parse_int_list(text: str) -> Sequence[int]:
+    """Comma list ("4,8") or inclusive range ("4..16", kept as a ``range``); nonempty."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         else:
             values = [int(v) for v in text.split(",")]
     except ValueError:

@@ -12,8 +12,7 @@ Blocks of a larger grid [N]^d are colored by reducing each coordinate
 mod M into [M]^d, i.e. the base pattern tiles the whole grid.
 
 The anchor map is held as one read-only int64 array, checked once when the
-coloring is made, and the package reads only that array; the tuple of
-Python ints that ``LatinColoring.anchor`` offers is built on first read.
+coloring is made; it is the only form of the map the coloring holds.
 Constructors build the array with whole-array numpy operations, the scheme
 writer prints it from a matrix of ASCII digits, and the reader parses the
 anchor list of a file in the writer's layout from its bytes.  So making,
@@ -32,8 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidNetError, ParameterError, SchemeFormatError, check_budget
-from .nets import DigitalNet, base_exponent
+from .errors import ParameterError, SchemeFormatError, check_budget
 
 SCHEME_FORMAT_VERSION = 1
 
@@ -61,9 +59,8 @@ class LatinColoring:
     1-indexed.  It may be passed as any flat sequence or array of integers;
     it is converted once to a read-only int64 array and checked there (a
     read-only int64 array that owns its memory is kept as it is).  That
-    array is the only form the coloring stores and the only one the package
-    reads (``anchor_tensor`` is a view of it).  ``anchor``, the same values
-    as a tuple of Python ints, is built on first read and cached.
+    array is the only form the coloring stores (``anchor_tensor`` is a view
+    of it).
 
     Colorings are immutable, and two are equal when M, d and the anchor
     values are.
@@ -117,11 +114,6 @@ class LatinColoring:
 
     def __repr__(self):
         return f"LatinColoring(M={self.M}, d={self.d}, anchor={self._flat!r})"
-
-    @functools.cached_property
-    def anchor(self) -> tuple[int, ...]:
-        """The anchor map as a tuple of Python ints, built on first read."""
-        return tuple(self._flat.tolist())
 
     def _size_is(self, n: int) -> bool:
         """Whether n == M^(d-1), without forming a huge power for a huge d."""
@@ -260,48 +252,6 @@ def _check_rows(coloring: LatinColoring) -> LatinCheck:
             colors=tuple(colors),
         )
     return LatinCheck(ok=True)
-
-
-def coloring_from_net(net: DigitalNet, M: int) -> LatinColoring:
-    """Anchor map read off a balanced digital point set.
-
-    Requires M = b^k for the net's base b and m = k*(d-1) digits.  Each point
-    lands in the grid cell given by the first k digits of every coordinate;
-    for a balanced point set those cells hit every axis-1 line exactly once,
-    and the anchor map records where.
-    """
-    b, m, d = net.params.b, net.params.m, net.params.d
-    k = base_exponent(M, b)
-    if m != k * (d - 1):
-        raise ParameterError(
-            f"point set has m={m} digits per coordinate, need k*(d-1) = {k * (d - 1)}"
-        )
-    if d == 1:
-        return LatinColoring(M=M, d=1, anchor=(1,))
-    cells = net.coord_ints(k)  # (n, d), values in [0, M)
-    ranks = np.zeros(net.n_points, dtype=np.int64)
-    for i in range(1, d):
-        ranks = ranks * M + cells[:, i]
-    counts = np.bincount(ranks, minlength=M ** (d - 1))
-    if counts.max() > 1:
-        dup = int(np.argmax(counts > 1))
-        raise InvalidNetError(
-            f"two points share the axis-1 line at rank {dup}; "
-            "the input point set is not balanced"
-        )
-    if counts.min() == 0:
-        missing = int(np.argmax(counts == 0))
-        raise InvalidNetError(f"no point on the axis-1 line at rank {missing}")
-    anchor = np.empty(M ** (d - 1), dtype=np.int64)
-    anchor[ranks] = cells[:, 0] + 1
-    coloring = LatinColoring(M=M, d=d, anchor=anchor)
-    check = verify_latin(coloring)
-    if not check.ok:
-        raise InvalidNetError(
-            f"derived coloring is unbalanced along axis {check.axis}; "
-            "the input point set is not balanced"
-        )
-    return coloring
 
 
 def check_anchor_budget(M: int, d: int) -> None:

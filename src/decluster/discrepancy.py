@@ -39,7 +39,7 @@ On a latin coloring three facts, proved in ``_scan_boxes`` and
   the slabs of spread G in closed form, and only the other windows (none
   from N >= 2M - 2) are swept.
 
-Its three callers rank the result by their own tie rule:
+Its two callers rank the result by their own tie rule:
 
 - ``disc_report``: one plane M * [color = c] - 1 per color and one window
   on [N]^d (P = T = N, every slab), or, for a latin coloring at N >= M, the
@@ -48,8 +48,6 @@ Its three callers rank the result by their own tie rule:
   magnitude, each witnessed by the lex-min (lo, hi, color) attaining it.
 - ``find_positive_witness``: one plane for the chosen color, ranked by
   (|deviation|, deviation > 0, lex-min (lo, hi)).
-- ``geometric_discrepancy``: one plane G^d * count - n per 1/G cell, ranked
-  by |deviation|, then lex-min (a, c) of the corner numerators.
 """
 
 from __future__ import annotations
@@ -61,13 +59,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Sequence
 
 import numpy as np
 
 from .coloring import LatinColoring, Scheme, check_axes, color_grid, verify_latin
 from .errors import ParameterError, check_budget
-from .nets import DigitalNet
 
 # Elements per temporary of one scan chunk (axis-1 rows, slabs, planes) or one
 # block of a periodic query's outer product.  Larger chunks pay numpy's fixed
@@ -188,33 +184,25 @@ class DiscReport:
     elapsed_ms: float
 
 
-def _source_shape(source, extent: int, M: int | None) -> tuple[int, int]:
-    """(M, d) of a coloring source, checked without building its grid."""
+def _resolve_grid(source, extent: int, M: int | None):
+    """Normalize the coloring source to (grid array, M, d)."""
     if extent < 1:
         raise ParameterError(f"extent={extent} must be >= 1")
     if isinstance(source, np.ndarray):
         if M is None:
             raise ParameterError("M is required when passing a raw color array")
-        return int(M), source.ndim
-    coloring = source.coloring if isinstance(source, Scheme) else source
-    if isinstance(coloring, LatinColoring):
-        return coloring.M, coloring.d
-    raise ParameterError(f"cannot evaluate a {type(source).__name__}")
-
-
-def _resolve_grid(source, extent: int, M: int | None):
-    """Normalize the coloring source to (grid array, M, d)."""
-    M, d = _source_shape(source, extent, M)
-    if isinstance(source, np.ndarray):
-        if source.shape != (extent,) * d:
+        if source.shape != (extent,) * source.ndim:
             raise ParameterError(
                 f"color array shape {source.shape} does not match extent {extent}"
             )
         grid = source.astype(np.int64, copy=False)
         if grid.min() < 1 or grid.max() > M:
             raise ParameterError(f"colors must lie in [1, {M}]")
-        return grid, M, d
-    return color_grid(source, extent), M, d
+        return grid, int(M), source.ndim
+    coloring = source.coloring if isinstance(source, Scheme) else source
+    if not isinstance(coloring, LatinColoring):
+        raise ParameterError(f"cannot evaluate a {type(source).__name__}")
+    return color_grid(coloring, extent), coloring.M, coloring.d
 
 
 # ---------------------------------------------------------------------------
@@ -251,47 +239,6 @@ def _color_planes(M: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Counting
-
-
-class RangeCounter:
-    """Per-color box counts over [extent]^d from one summed-area table.
-
-    Builds one table of (extent+1)^d * M integers once (``_prefix_table``);
-    each query then takes one difference per axis over the box's 2^d
-    corners, for every color at once.
-    """
-
-    def __init__(self, source, extent: int, *, M: int | None = None, max_cells: int | None = None):
-        M_, d = _source_shape(source, extent, M)
-        check_budget(
-            (extent + 1) ** d * M_, f"(N+1)^d * colors = {extent + 1}^{d} * {M_}", max_cells
-        )
-        grid = _resolve_grid(source, extent, M)[0]
-        self.M = M_
-        self.d = d
-        self.extent = extent
-        self._table = _prefix_table(grid, _color_planes(M_))
-
-    def _validate(self, box: Box) -> None:
-        if box.d != self.d:
-            raise ParameterError(f"box has {box.d} axes, expected {self.d}")
-        if not box.within(self.extent):
-            raise ParameterError(f"box {box} exceeds extent {self.extent}")
-
-    def counts(self, box: Box) -> np.ndarray:
-        """Number of cells of each color inside the box (index c-1 for color c)."""
-        self._validate(box)
-        if box.is_empty:
-            return np.zeros(self.M, dtype=np.int64)
-        corners = self._table[tuple(_ends(lo, hi) for lo, hi in zip(box.lo, box.hi))]
-        for _ in range(self.d):
-            corners = corners[1] - corners[0]
-        return corners
-
-    def count(self, box: Box, color: int) -> int:
-        if not 1 <= color <= self.M:
-            raise ParameterError(f"color {color} outside [1, {self.M}]")
-        return int(self.counts(box)[color - 1])
 
 
 def _residue_hits(lo: int, hi: int, M: int) -> np.ndarray:
@@ -945,85 +892,6 @@ def complement_decompose(box: Box, extent: int) -> list[Box]:
             ranges = before + [(box.hi[axis] + 1, extent)] + after
             pieces.append(Box(lo=tuple(r[0] for r in ranges), hi=tuple(r[1] for r in ranges)))
     return pieces
-
-
-# ---------------------------------------------------------------------------
-# Geometric (volume-vs-count) discrepancy on a 1/G grid
-
-
-@dataclass(frozen=True)
-class GeoDisc:
-    """Max |count - n*volume| over boxes with corners on the 1/G grid."""
-
-    value: Fraction
-    scaled_num: int
-    scale: int
-    witness_lo: tuple[int, ...]  # numerators of the lower corner, over G
-    witness_hi: tuple[int, ...]  # numerators of the upper (open) corner, over G
-
-
-def _point_cells(points, G: int, d: int | None = None):
-    """Exact per-axis cell indices floor(x*G) for points in [0,1)^d."""
-    if isinstance(points, DigitalNet):
-        b, m, nd = points.params.b, points.params.m, points.params.d
-        scale = b**m
-        ints = points.coord_ints()
-        cells = (ints * G) // scale
-        return [tuple(int(v) for v in row) for row in cells], nd
-    pts = list(points)
-    if not pts:
-        if d is None:
-            raise ParameterError("empty point set needs an explicit dimension d")
-        return [], d
-    inferred = len(pts[0])
-    if d is not None and d != inferred:
-        raise ParameterError(f"points are {inferred}-dimensional, expected d={d}")
-    d = inferred
-    out = []
-    for pt in pts:
-        if len(pt) != d:
-            raise ParameterError("points must share one dimension")
-        cell = []
-        for x in pt:
-            fx = Fraction(x)
-            if not 0 <= fx < 1:
-                raise ParameterError(f"coordinate {x} outside [0, 1)")
-            cell.append((fx.numerator * G) // fx.denominator)
-        out.append(tuple(cell))
-    return out, d
-
-
-def geometric_discrepancy(points, G: int, d: int | None = None) -> GeoDisc:
-    """Exact star-style discrepancy restricted to boxes on the 1/G grid.
-
-    Boxes are products of [a_i/G, c_i/G) with integer 0 <= a_i < c_i <= G.
-    The deviation |#points in box - n * vol(box)| is computed exactly with
-    integers scaled by G^d, as the box sum of the per-cell weight
-    G^d * count - n.  The witness is the lexicographically smallest
-    (lower corner, upper corner) attaining the maximum.  ``d`` is only
-    needed when ``points`` is empty (dimension cannot be inferred).
-    """
-    if G < 1:
-        raise ParameterError(f"grid resolution G={G} must be >= 1")
-    cells, d = _point_cells(points, G, d)
-    n = len(cells)
-    counts = np.zeros((G,) * d, dtype=np.int64)
-    for cell in cells:
-        if any(not 0 <= v < G for v in cell):
-            raise ParameterError("point outside [0, 1)^d")
-        counts[cell] += 1
-    scale = G**d
-    weights = scale * np.arange(n + 1, dtype=np.int64)[None, :] - n
-    tracks = _scan_boxes(counts, weights)
-    value = max(int(peaks[0]) for peaks, _ in tracks)
-    lo, hi, _ = min(key for peaks, key in tracks if peaks[0] == value)
-    return GeoDisc(
-        value=Fraction(value, scale),
-        scaled_num=value,
-        scale=scale,
-        witness_lo=tuple(a - 1 for a in lo),
-        witness_hi=hi,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -397,7 +397,7 @@ def generator_anchor(gens: GeneratorSet, M: int) -> np.ndarray:
 
 
 def crt_anchor(components: Sequence[GeneratorSet], M: int) -> np.ndarray:
-    """The anchor map of ``crt_compose`` of generator nets, read off their matrices.
+    """The anchor map of ``crt_compose_counted`` of generator nets, read off their matrices.
 
     For pairwise coprime orders q_i, b = prod q_i and M = b^k: a composed
     point's base-b digits are the digitwise CRT join of its components'.
@@ -481,28 +481,20 @@ def _crt_weights(bases: Sequence[int]) -> list[int]:
     return [b // q * pow(b // q, -1, q) for q in bases]
 
 
-def crt_compose(components: Sequence[DigitalNet], b: int) -> DigitalNet:
-    """Assemble a base-b point set from coprime prime-power components.
+def crt_compose_counted(
+    components: Sequence[DigitalNet], b: int
+) -> tuple[DigitalNet, NetCheck | None]:
+    """Assemble a base-b point set from coprime prime-power components, and count it.
 
     All components must share m and d, their bases must be pairwise coprime
     with product b, and each must be balanced at t=0.  Index digits and
     output digits correspond componentwise under the residue bijection
-    Z_b = Z_q1 x ... x Z_qu, applied digit by digit.  A single component is
-    passed through unchanged.
-    """
-    return crt_compose_counted(components, b)[0]
-
-
-def crt_compose_counted(
-    components: Sequence[DigitalNet], b: int
-) -> tuple[DigitalNet, NetCheck | None]:
-    """``crt_compose``, and its count of the composed net's points at t=0.
-
-    A composition of two or more components is counted by ``verify_net``
-    and refused with NetConstructionError unless it is balanced, so a
-    component that is not balanced never yields a net stamped t=0; the
-    passing check is returned for reuse.  A single component is passed
-    through uncounted (None).
+    Z_b = Z_q1 x ... x Z_qu, applied digit by digit.  Returns the net and
+    its check: a composition of two or more components is counted by
+    ``verify_net`` and refused with NetConstructionError unless it is
+    balanced, so a component that is not balanced never yields a net
+    stamped t=0, and the passing check is returned for reuse.  A single
+    component is passed through uncounted (None).
     """
     if not components:
         raise ParameterError("need at least one component")

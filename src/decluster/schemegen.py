@@ -12,7 +12,7 @@ a composite base joins those maps digitwise by CRT (``nets.crt_anchor``).
 from __future__ import annotations
 
 import csv
-import itertools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +44,6 @@ from .nets import (
     NetParams,
     check_net_provenance,
     crt_anchor,
-    crt_compose,
     crt_compose_counted,
     generators_from_dict,
     net_from_generators,
@@ -112,21 +111,14 @@ def _net_components(b: int, m: int, d: int) -> list[DigitalNet]:
     return [net_from_generators(g) for g in _pascal_components(b, m, d)]
 
 
-def build_net(b: int, m: int, d: int) -> DigitalNet:
-    """Balanced base-b net: per-prime-power generator nets joined by residues.
+def build_net_counted(b: int, m: int, d: int) -> tuple[DigitalNet, NetCheck | None]:
+    """Balanced base-b net, and the residue composition's count of its points.
 
     Every prime-power factor q of b gets its own generator-matrix net over
     GF(q), checked by the rank gate; the digitwise residue bijection
-    assembles them into one base-b point set, which ``crt_compose`` counts.
-    """
-    return crt_compose(_net_components(b, m, d), b)
-
-
-def build_net_counted(b: int, m: int, d: int) -> tuple[DigitalNet, NetCheck | None]:
-    """``build_net``, and the residue composition's count of its points.
-
-    The count is None for a prime-power base, whose net the rank gate
-    checked without counting (``crt_compose_counted``).
+    assembles them into one base-b point set, which ``crt_compose_counted``
+    counts.  The count is None for a prime-power base, whose net the rank
+    gate checked without counting.
     """
     return crt_compose_counted(_net_components(b, m, d), b)
 
@@ -328,16 +320,22 @@ def sweep(
 ) -> list[SweepRow]:
     """Measure disc/disc+ for every (M, d, mode) cell at N = multiplier * M.
 
-    Cells whose mode preconditions fail (or that exceed the evaluation
-    budget) are skipped with a note on ``log`` (default stderr).  Rows are
-    appended to ``csv_path`` if given, writing a header only when the file
-    is new or empty.
+    The number of cells, disks * dims * modes, is held to the cell budget
+    (``errors.check_budget``) before any scheme is built, and the three
+    sequences are read without copying, so a long ``range`` costs nothing
+    until it is refused.  Cells whose mode preconditions fail (or whose
+    scan exceeds ``max_cells``) are skipped with a note on ``log`` (default
+    stderr).  Rows are appended to ``csv_path`` if given, writing a header
+    only when the file is new or empty.
     """
     if extent_multiplier < 1:
         raise ParameterError(f"extent multiplier {extent_multiplier} must be >= 1")
+    sizes = [_length(values) for values in (disks, dims, modes)]
+    check_budget(math.prod(sizes), "disks*dims*modes = {}*{}*{}".format(*sizes))
     log = sys.stderr if log is None else log
     rows: list[SweepRow] = []
-    for M, d, mode in itertools.product(disks, dims, modes):
+    cells = ((M, d, mode) for M in disks for d in dims for mode in modes)
+    for M, d, mode in cells:
         try:
             scheme = generate_scheme(M, d, mode, seed=seed)
         except DeclusterError as exc:
@@ -363,6 +361,14 @@ def sweep(
     if csv_path is not None:
         _append_rows(csv_path, rows)
     return rows
+
+
+def _length(values: Sequence) -> int:
+    """len(values), also for a range longer than ``len`` can report."""
+    try:
+        return len(values)
+    except OverflowError:  # a range of more than sys.maxsize values
+        return (values[-1] - values[0]) // values.step + 1
 
 
 def _append_rows(csv_path, rows: Sequence[SweepRow]) -> None:

@@ -2,13 +2,20 @@
 
 Everything here enumerates directly — no prefix tables, no running scans,
 no shared helpers with the code under test — so agreement is meaningful.
-Only fit for tiny instances.
+Only fit for tiny instances.  ``coloring_from_net`` is the exception: it
+reads an anchor map off a net's points, a route the package does not take
+(the package reads maps off generator matrices), and takes and returns the
+package's net and coloring types.
 """
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from decluster.coloring import LatinColoring, verify_latin
+from decluster.errors import InvalidNetError, ParameterError
+from decluster.nets import base_exponent
 
 
 def naive_disc(grid, M):
@@ -152,3 +159,45 @@ def naive_geometric(cells, n, G, d):
         if best is None or dev > best[0] or (dev == best[0] and key < best[1]):
             best = (dev, key)
     return best
+
+
+def coloring_from_net(net, M):
+    """Anchor map read off a balanced digital point set, as a LatinColoring.
+
+    Requires M = b^k for the net's base b and m = k*(d-1) digits.  Each point
+    lands in the grid cell given by the first k digits of every coordinate;
+    for a balanced point set those cells hit every axis-1 line exactly once,
+    and the anchor map records where.
+    """
+    b, m, d = net.params.b, net.params.m, net.params.d
+    k = base_exponent(M, b)
+    if m != k * (d - 1):
+        raise ParameterError(
+            f"point set has m={m} digits per coordinate, need k*(d-1) = {k * (d - 1)}"
+        )
+    if d == 1:
+        return LatinColoring(M=M, d=1, anchor=(1,))
+    cells = net.coord_ints(k)  # (n, d), values in [0, M)
+    ranks = np.zeros(net.n_points, dtype=np.int64)
+    for i in range(1, d):
+        ranks = ranks * M + cells[:, i]
+    counts = np.bincount(ranks, minlength=M ** (d - 1))
+    if counts.max() > 1:
+        dup = int(np.argmax(counts > 1))
+        raise InvalidNetError(
+            f"two points share the axis-1 line at rank {dup}; "
+            "the input point set is not balanced"
+        )
+    if counts.min() == 0:
+        missing = int(np.argmax(counts == 0))
+        raise InvalidNetError(f"no point on the axis-1 line at rank {missing}")
+    anchor = np.empty(M ** (d - 1), dtype=np.int64)
+    anchor[ranks] = cells[:, 0] + 1
+    coloring = LatinColoring(M=M, d=d, anchor=anchor)
+    check = verify_latin(coloring)
+    if not check.ok:
+        raise InvalidNetError(
+            f"derived coloring is unbalanced along axis {check.axis}; "
+            "the input point set is not balanced"
+        )
+    return coloring

@@ -26,14 +26,13 @@ from decluster.coloring import (
 )
 from decluster.discrepancy import (
     Box,
-    RangeCounter,
     disc_report,
     find_positive_witness,
-    geometric_discrepancy,
+    periodic_box_counts,
 )
 from decluster.nets import verify_net
-from decluster.schemegen import build_net, factorize_canonical, generate_scheme
-from oracles import naive_disc
+from decluster.schemegen import build_net_counted, factorize_canonical, generate_scheme
+from oracles import naive_disc, naive_geometric
 
 REPORTS = []  # (label, report) for every figure produced by this suite
 
@@ -105,7 +104,7 @@ def test_criterion_02_net_sweep():
             for d in range(1, cap + 1):
                 cases.append((b, m, d))
     for b, m, d in cases:
-        net = build_net(b, m, d)
+        net = build_net_counted(b, m, d)[0]
         check = verify_net(net, 0)
         assert check.ok, f"balance check failed for base={b} m={m} d={d}: {check}"
         checked += 1
@@ -217,35 +216,34 @@ def test_criterion_07_point_set_transfer():
     for M, d in [(8, 2), (9, 2), (4, 3)]:
         scheme = generate_scheme(M, d, "paper")
         prov = scheme.provenance
-        net = build_net(prov["base"], prov["m"], d)
+        net = build_net_counted(prov["base"], prov["m"], d)[0]
 
         # cells occupied by the net's points at the 1/M grid resolution
         scale = prov["base"] ** prov["m"]
-        cells = (net.coord_ints() * M) // scale
+        cells = [tuple(int(v) for v in row) for row in (net.coord_ints() * M) // scale]
         point_grid = np.zeros((M,) * d, dtype=np.int64)
-        for row in cells:
-            point_grid[tuple(int(v) for v in row)] += 1
+        for cell in cells:
+            point_grid[cell] += 1
+        assert point_grid.max() == 1, f"two points share a cell (M={M}, d={d})"
 
         # cells of disk 1
         class_grid = (color_grid(scheme, M) == 1).astype(np.int64)
 
         # box-by-box identity between point counts and disk-1 cell counts
-        pt = RangeCounter(point_grid + 1, M, M=2)  # grid of 1s and 2s; color 2 = occupied
-        cl = RangeCounter(class_grid + 1, M, M=2)
         pairs = [(lo, hi) for lo in range(1, M + 1) for hi in range(lo, M + 1)]
         boxes = 0
         for combo in itertools.product(*([pairs] * d)):
-            box = Box(lo=tuple(p[0] for p in combo), hi=tuple(p[1] for p in combo))
-            assert pt.count(box, 2) == cl.count(box, 2), f"box {box} (M={M}, d={d})"
+            sl = tuple(slice(lo - 1, hi) for lo, hi in combo)
+            assert point_grid[sl].sum() == class_grid[sl].sum(), f"box {combo} (M={M}, d={d})"
             boxes += 1
 
         # the worst combinatorial deviation never exceeds the geometric one
         rep = produce_report(scheme, M, label=f"transfer M={M} d={d}")
-        geo = geometric_discrepancy(net, M)
-        assert rep.disc.value <= geo.value, f"M={M} d={d}"
+        geo = Fraction(naive_geometric(cells, len(cells), M, d)[0], M**d)
+        assert rep.disc.value <= geo, f"M={M} d={d}"
         print(
             f"criterion 7: M={M} d={d}: identity on {boxes} boxes; "
-            f"disc {rep.disc} <= geometric {geo.value}"
+            f"disc {rep.disc} <= geometric {geo}"
         )
     elapsed = time.perf_counter() - start
     print(f"criterion 7: transfer identity exact ({elapsed:.1f}s)")
@@ -266,9 +264,9 @@ def test_criterion_08_growth_separation():
     certified = {}
     for M in ladder:
         h = math.ceil(M / 2)
-        counter = RangeCounter(make_baseline("cyclic", M, 2), M)
         box = Box(lo=(1, 1), hi=(h, h))
-        dev = max(int(M * c - box.cardinality) for c in counter.counts(box))
+        counts = periodic_box_counts(make_baseline("cyclic", M, 2), box)
+        dev = max(int(M * c - box.cardinality) for c in counts)
         certified[M] = Fraction(dev, M)
         assert certified[M] >= Fraction(M, 4) - 1, f"cyclic certificate at M={M}"
 
@@ -297,8 +295,8 @@ def test_criterion_09_witness_pipeline():
         assert cert.value.value >= 2, f"M={M}: certificate {cert.value} below 2"
         rep = produce_report(scheme, M, positive_only=True, label=f"witness M={M}")
         assert cert.value <= rep.disc_plus, f"M={M}: certificate exceeds disc+"
-        counter = RangeCounter(scheme, M)
-        dev = M * counter.count(cert.box, cert.color) - cert.box.cardinality
+        count = periodic_box_counts(scheme, cert.box)[cert.color - 1]
+        dev = M * int(count) - cert.box.cardinality
         assert dev == cert.value.num, f"M={M}: certificate recount mismatch"
         print(f"criterion 9: M={M}: certified {cert.value} at {cert.box} <= disc+ {rep.disc_plus}")
     elapsed = time.perf_counter() - start
@@ -318,6 +316,6 @@ def test_criterion_10_determinism(tmp_path):
         save_scheme(load_scheme(p1), p2)
         assert p1.read_bytes() == p2.read_bytes(), f"roundtrip not lossless for {mode}"
         back = load_scheme(p1)
-        assert back.coloring.anchor == a.coloring.anchor
+        assert back.coloring == a.coloring
         assert back.provenance == a.provenance
     print(f"criterion 10: byte-identical regeneration and lossless roundtrip on {len(cases)} schemes")

@@ -41,7 +41,8 @@ def test_parse_box():
 
 def test_parse_int_list():
     assert _parse_int_list("4,8,16") == [4, 8, 16]
-    assert _parse_int_list("3..6") == [3, 4, 5, 6]
+    assert _parse_int_list("3..6") == range(3, 7)
+    assert _parse_int_list("1..10000000000") == range(1, 10**10 + 1)  # no list is built
     for bad in ("a", "3..x", "4,,8", "6..3"):
         with pytest.raises(DeclusterError):
             _parse_int_list(bad)
@@ -182,10 +183,7 @@ def _refuse_point_sets(monkeypatch):
 
     for module in (decluster.nets, decluster.schemegen):
         monkeypatch.setattr(module, "net_from_generators", refuse)
-        monkeypatch.setattr(module, "crt_compose", refuse)
-    for module in (decluster.coloring, decluster.schemegen):
-        # schemegen does not import it; raising=False still catches a later import
-        monkeypatch.setattr(module, "coloring_from_net", refuse, raising=False)
+        monkeypatch.setattr(module, "crt_compose_counted", refuse)
     monkeypatch.setattr(decluster.nets, "DigitalNet", refuse)
 
 
@@ -863,6 +861,26 @@ def test_sweep_rejects_bad_integer_list(tmp_path, capsys, flag, value):
     assert code == 1
     assert stderr.startswith("error: ") and repr(value) in stderr
     assert stdout == "" and not csv.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, cells",
+    [("--disks", "1..10000000000", "10000000000*1*1"),
+     ("--dims", "2..4000000000", "1*3999999999*1"),
+     ("--disks", "1..1" + "0" * 30, f"{10**30}*1*1")],
+)
+def test_sweep_refuses_more_cells_than_the_budget(tmp_path, capsys, monkeypatch, flag, value,
+                                                  cells):
+    # the cell count is checked before any scheme is built or any range is copied
+    monkeypatch.setattr(decluster.schemegen, "generate_scheme", _refuse("a scheme"))
+    argv = {"--dims": "2", "--disks": "4", "--modes": "cyclic", flag: value}
+    csv = tmp_path / "rows.csv"
+    code, stdout, stderr = run(
+        capsys, "sweep", *itertools.chain(*argv.items()), "--csv", str(csv)
+    )
+    assert code == 1 and stdout == "" and not csv.exists()
+    assert stderr.startswith(f"error: disks*dims*modes = {cells} = ")
+    assert "exceeds the cell budget 100000000" in stderr
 
 
 def test_sweep_rejects_unknown_mode(tmp_path, capsys):

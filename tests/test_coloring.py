@@ -1,4 +1,4 @@
-"""Latin colorings: extraction from nets, baselines, tiling, serialization."""
+"""Latin colorings: anchor maps, baselines, tiling, serialization."""
 
 import functools
 import itertools
@@ -18,7 +18,6 @@ from decluster.coloring import (
     LatinColoring,
     Scheme,
     color_grid,
-    coloring_from_net,
     export_map_csv,
     load_scheme,
     make_baseline,
@@ -41,7 +40,7 @@ from decluster.nets import (
     pascal_power_generators,
 )
 from decluster.schemegen import generate_scheme
-from oracles import naive_latin_ok
+from oracles import coloring_from_net, naive_latin_ok
 
 
 def identity_net(b):
@@ -50,21 +49,21 @@ def identity_net(b):
     return DigitalNet(NetParams(b=b, m=1, d=2), digits)
 
 
-# -- coloring_from_net -------------------------------------------------------
+# -- anchor maps read off nets (the points-based reference) -------------------
 
 
 def test_identity_net_gives_diagonal_anchor():
     col = coloring_from_net(identity_net(5), 5)
-    assert col.anchor == (1, 2, 3, 4, 5)
+    assert col.anchor_tensor().tolist() == [1, 2, 3, 4, 5]
     col2 = coloring_from_net(identity_net(2), 2)
-    assert col2.anchor == (1, 2)
+    assert col2.anchor_tensor().tolist() == [1, 2]
 
 
 def test_base2_net_m2_anchor():
     net = net_from_generators(pascal_power_generators(2, 2, 2))
     col = coloring_from_net(net, 4)
     # cells of the 4 points: (1,1), (3,3), (2,4), (4,2)
-    assert col.anchor == (1, 4, 3, 2)
+    assert col.anchor_tensor().tolist() == [1, 4, 3, 2]
     assert col.color_of((3, 2)) == 4
     assert col.color_of((1, 1)) == 1
 
@@ -83,7 +82,7 @@ def test_anchor_tensor_is_built_once_and_read_only():
     tensor = col.anchor_tensor()
     assert tensor is col.anchor_tensor()
     assert tensor.dtype == np.int64 and tensor.shape == (5, 5)
-    assert tensor.reshape(-1).tolist() == list(col.anchor)
+    assert tensor[1, 2] == col.anchor_at((2, 3))  # row-major in (x_2, x_3)
     with pytest.raises(ValueError):
         tensor[0, 0] = 1
 
@@ -91,11 +90,12 @@ def test_anchor_tensor_is_built_once_and_read_only():
 def test_anchor_is_converted_and_checked_once():
     given = np.array([2, 3, 1])
     col = LatinColoring(M=3, d=2, anchor=given)
-    assert col.anchor == (2, 3, 1) and all(type(v) is int for v in col.anchor)
+    assert col.anchor_tensor().dtype == np.int64
     given[0] = 1  # the coloring holds its own copy
     assert col.anchor_tensor().tolist() == [2, 3, 1]
-    assert LatinColoring(M=1, d=100, anchor=[1]).anchor == (1,)
-    assert make_baseline("cyclic", 1, 70).coloring.anchor == (1,)  # no 69-axis array
+    # no 99- or 69-axis array is formed
+    assert LatinColoring(M=1, d=100, anchor=[1]).color_of((1,) * 100) == 1
+    assert make_baseline("cyclic", 1, 70).coloring.color_of((1,) * 70) == 1
     bad = [[2.0, 3, 1], ["2", 3, 1], [2, 3, True], [2, 3, [1]], [[2, 3, 1]], [2, 3, 2**70],
            [2, 3, 0], [2, 3], 7, None]
     for anchor in bad:
@@ -182,7 +182,7 @@ def test_class_sizes():
 
 def test_checkerboard():
     scheme = make_baseline("checkerboard", 2, 2)
-    assert scheme.coloring.anchor == (1, 2)
+    assert scheme.coloring.anchor_tensor().tolist() == [1, 2]
     assert scheme.coloring.color_of((1, 1)) == 1
     assert scheme.coloring.color_of((1, 2)) == 2
     assert scheme.disk_of((3, 4)) == 2
@@ -234,7 +234,7 @@ def test_cyclic_skew_rule_agrees_with_verify_latin(d):
             check = verify_latin(LatinColoring(M=M, d=d, anchor=anchor))
             if check.ok:
                 scheme = make_baseline("cyclic", M, d, skews=skews)
-                assert list(scheme.coloring.anchor) == anchor.tolist()
+                assert np.array_equal(scheme.coloring.anchor_tensor().reshape(-1), anchor)
             else:
                 with pytest.raises(ParameterError, match=rf"skews .*\(axis {check.axis}:"):
                     make_baseline("cyclic", M, d, skews=skews)
@@ -244,8 +244,8 @@ def test_random_baseline_deterministic():
     a = make_baseline("random", 7, 2, seed=11)
     b = make_baseline("random", 7, 2, seed=11)
     c = make_baseline("random", 7, 2, seed=12)
-    assert a.coloring.anchor == b.coloring.anchor
-    assert a.coloring.anchor != c.coloring.anchor
+    assert a.coloring == b.coloring
+    assert a.coloring != c.coloring
     assert verify_latin(c.coloring).ok
 
 
@@ -368,7 +368,7 @@ def test_scheme_dict_shape():
     assert data["M"] == 3 and data["d"] == 2
     assert data["mode"] == "cyclic"
     assert data["anchor"] == [2, 3, 1]
-    assert scheme_from_dict(data).coloring.anchor == scheme.coloring.anchor
+    assert scheme_from_dict(data).coloring == scheme.coloring
 
 
 def test_scheme_json_bytes_canonical():
@@ -383,7 +383,7 @@ def test_scheme_file_roundtrip(tmp_path):
     path = tmp_path / "scheme.json"
     save_scheme(scheme, path)
     back = load_scheme(path)
-    assert back.coloring.anchor == scheme.coloring.anchor
+    assert back.coloring == scheme.coloring
     assert back.mode == scheme.mode
     assert back.provenance == scheme.provenance
     # byte-identical re-export
@@ -539,7 +539,7 @@ def test_load_scheme_hands_the_coloring_one_array(tmp_path, monkeypatch):
     view.flags.writeable = False
     col = LatinColoring(M=3, d=2, anchor=view)
     base[0] = 1
-    assert col.anchor == (2, 3, 1)
+    assert col.anchor_tensor().tolist() == [2, 3, 1]
 
 
 # -- CSV export -------------------------------------------------------------------

@@ -17,21 +17,18 @@ from decluster import discrepancy
 from decluster.coloring import LatinColoring, color_grid, make_baseline, verify_latin
 from decluster.discrepancy import (
     Box,
-    RangeCounter,
     ScaledValue,
     _witness_box,
     complement_decompose,
     disc_report,
     find_positive_witness,
-    geometric_discrepancy,
     periodic_box_counts,
     report_to_dict,
     save_report,
 )
 from decluster.errors import BudgetExceededError, ParameterError
-from decluster.nets import net_from_generators, pascal_power_generators
 from decluster.schemegen import MODES, generate_scheme
-from oracles import naive_box_count, naive_disc, naive_geometric
+from oracles import naive_box_count, naive_disc
 
 # -- value and box types -------------------------------------------------------
 
@@ -74,56 +71,12 @@ def test_box_coerces_numpy_ints():
 # -- counting -------------------------------------------------------------------
 
 
-def test_count_worked_examples():
-    counter = RangeCounter(make_baseline("cyclic", 4, 2), 4)
-    # one full row of the period grid holds each color exactly once
-    assert counter.count(Box(lo=(1, 1), hi=(1, 4)), 3) == 1
-    # the full period box holds each color M^(d-1) times
-    full = Box(lo=(1, 1), hi=(4, 4))
-    for c in range(1, 5):
-        assert counter.count(full, c) == 4
-    assert counter.counts(full).max() == 4
-    assert counter.count(Box.empty(2), 2) == 0
-    assert counter.counts(Box.empty(2)).max() == 0
-
-
-def test_counter_rejects_bad_queries():
-    counter = RangeCounter(make_baseline("cyclic", 3, 2), 5)
-    with pytest.raises(ParameterError):
-        counter.count(Box(lo=(1, 1), hi=(6, 2)), 1)  # beyond extent
-    with pytest.raises(ParameterError):
-        counter.count(Box(lo=(1,), hi=(2,)), 1)  # wrong dimension
-    with pytest.raises(ParameterError):
-        counter.count(Box(lo=(1, 1), hi=(2, 2)), 4)  # color out of range
-    with pytest.raises(ParameterError):
-        RangeCounter(np.ones((2, 2), dtype=np.int64), 2)  # raw grid needs M
-    with pytest.raises(ParameterError):
-        RangeCounter(np.full((2, 2), 5, dtype=np.int64), 2, M=3)  # color > M
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    M=st.integers(min_value=1, max_value=4),
-    N=st.integers(min_value=1, max_value=6),
-    d=st.integers(min_value=1, max_value=3),
-    data=st.data(),
-)
-def test_counter_matches_cellwise_oracle(M, N, d, data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    grid = rng.integers(1, M + 1, size=(N,) * d)
-    counter = RangeCounter(grid, N, M=M)
-    lo = tuple(data.draw(st.integers(1, N)) for _ in range(d))
-    hi = tuple(data.draw(st.integers(lo[i], N)) for i in range(d))
-    color = data.draw(st.integers(1, M))
-    box = Box(lo=lo, hi=hi)
-    assert counter.count(box, color) == naive_box_count(grid, lo, hi, color)
-
-
 def test_periodic_counts_match_range_counter_inside_period():
     scheme = make_baseline("random", 5, 2, seed=7)
-    counter = RangeCounter(scheme, 5)
+    grid = color_grid(scheme, 5)
     for box in [Box(lo=(1, 1), hi=(3, 4)), Box(lo=(2, 2), hi=(5, 5))]:
-        assert np.array_equal(periodic_box_counts(scheme, box), counter.counts(box))
+        want = [naive_box_count(grid, box.lo, box.hi, c) for c in range(1, 6)]
+        assert periodic_box_counts(scheme, box).tolist() == want
 
 
 def test_periodic_counts_far_from_origin():
@@ -297,12 +250,12 @@ def test_report_invariants_sum_zero_and_sandwich():
         if M > 1:
             assert full <= (M - 1) * plus
         # witness recount: deviation at the reported box/color equals the value
-        counter = RangeCounter(scheme, N)
+        grid = color_grid(scheme, N)
         box, color = rep.disc_plus_witness
-        dev = M * counter.count(box, color) - box.cardinality
+        dev = M * naive_box_count(grid, box.lo, box.hi, color) - box.cardinality
         assert dev == rep.disc_plus.num
         abox, acolor = rep.disc_witness
-        adev = M * counter.count(abox, acolor) - abox.cardinality
+        adev = M * naive_box_count(grid, abox.lo, abox.hi, acolor) - abox.cardinality
         assert abs(adev) == rep.disc.num
 
 
@@ -326,6 +279,19 @@ def test_report_matches_exhaustive_oracle_on_random_grids(M, N, d, data):
     assert (abox.lo, abox.hi, acolor) == want["abs_key"]
     assert rep.per_color_plus == want["per_color_plus"]
     assert rep.per_color_abs == want["per_color_abs"]
+
+
+def test_report_rejects_malformed_sources():
+    with pytest.raises(ParameterError, match="M is required"):
+        disc_report(np.ones((2, 2), dtype=np.int64), 2)
+    with pytest.raises(ParameterError, match="colors must lie in"):
+        disc_report(np.full((2, 2), 5, dtype=np.int64), 2, M=3)
+    with pytest.raises(ParameterError, match="does not match extent"):
+        disc_report(np.ones((2, 2), dtype=np.int64), 3, M=2)
+    with pytest.raises(ParameterError, match="cannot evaluate a str"):
+        disc_report("scheme.json", 2, M=2)
+    with pytest.raises(ParameterError, match="extent=0"):
+        disc_report(make_baseline("cyclic", 3, 2), 0)
 
 
 def test_report_matches_oracle_on_schemes():
@@ -709,8 +675,7 @@ def test_fold_examples():
 def test_fold_preserves_absolute_deviation():
     scheme = make_baseline("random", 4, 2, seed=9)
     N = 12
-    counter = RangeCounter(scheme, N)
-    small = RangeCounter(scheme, 4)
+    grid, small = color_grid(scheme, N), color_grid(scheme, 4)
     for box in [
         Box(lo=(2, 7), hi=(9, 11)),
         Box(lo=(5, 5), hi=(12, 12)),
@@ -719,11 +684,12 @@ def test_fold_preserves_absolute_deviation():
     ]:
         folded = fold_box_to_period(box, 4)
         for color in range(1, 5):
-            dev = 4 * counter.count(box, color) - box.cardinality
+            dev = 4 * naive_box_count(grid, box.lo, box.hi, color) - box.cardinality
             if folded.is_empty:
                 fdev = 0
             else:
-                fdev = 4 * small.count(folded, color) - folded.cardinality
+                count = naive_box_count(small, folded.lo, folded.hi, color)
+                fdev = 4 * count - folded.cardinality
             assert abs(dev) == abs(fdev)
 
 
@@ -744,13 +710,13 @@ def test_complement_decompose_partition():
 def test_complement_deviations_sum_to_negation():
     scheme = make_baseline("random", 5, 2, seed=4)
     N = 5
-    counter = RangeCounter(scheme, N)
+    grid = color_grid(scheme, N)
     box = Box(lo=(2, 2), hi=(4, 3))
     color = 3
-    dev = 5 * counter.count(box, color) - box.cardinality
+    dev = 5 * naive_box_count(grid, box.lo, box.hi, color) - box.cardinality
     total = 0
     for p in complement_decompose(box, N):
-        total += 5 * counter.count(p, color) - p.cardinality
+        total += 5 * naive_box_count(grid, p.lo, p.hi, color) - p.cardinality
     assert total == -dev  # the full grid is perfectly balanced
 
 
@@ -767,65 +733,6 @@ def test_complement_three_dimensional_piece_count():
     assert box.cardinality + sum(p.cardinality for p in pieces) == 27
 
 
-# -- geometric (volume) discrepancy ------------------------------------------------
-
-
-def test_geometric_empty_point_set():
-    geo = geometric_discrepancy([], 4, d=2)
-    assert geo.value == 0
-    with pytest.raises(ParameterError):
-        geometric_discrepancy([], 4)  # dimension cannot be inferred
-
-
-def test_geometric_single_centre_point():
-    geo = geometric_discrepancy([(Fraction(1, 2), Fraction(1, 2))], 2)
-    assert geo.value == Fraction(3, 4)
-    assert geo.witness_lo == (1, 1) and geo.witness_hi == (2, 2)
-
-
-def test_geometric_matches_naive():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        n = int(rng.integers(1, 5))
-        pts = [
-            (Fraction(int(rng.integers(0, 8)), 8), Fraction(int(rng.integers(0, 8)), 8))
-            for _ in range(n)
-        ]
-        G = int(rng.integers(1, 5))
-        geo = geometric_discrepancy(pts, G)
-        cells = [tuple(int(x * G) for x in p) for p in pts]
-        num, key = naive_geometric(cells, n, G, 2)
-        assert geo.scaled_num == num
-        assert (geo.witness_lo, geo.witness_hi) == key
-
-
-def test_geometric_accepts_net_directly():
-    net = net_from_generators(pascal_power_generators(2, 2, 2))
-    geo = geometric_discrepancy(net, 4)
-    assert geo.value <= 1
-    assert geo.scale == 16
-
-
-@pytest.mark.parametrize("chunk", [discrepancy._CHUNK_ELEMS, 64, 1])
-def test_geometric_net_at_sixteen_matches_naive(monkeypatch, chunk):
-    # 64-element chunks split the 136 slabs of G=16 into 46 chunks, 1-element
-    # chunks into one slab each
-    monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk)
-    net = net_from_generators(pascal_power_generators(2, 2, 6))
-    geo = geometric_discrepancy(net, 16)
-    cells = [tuple(int(v) for v in row) for row in (net.coord_ints() * 16) // 2**6]
-    assert (geo.scaled_num, (geo.witness_lo, geo.witness_hi)) == naive_geometric(cells, 64, 16, 2)
-
-
-def test_geometric_rejects_bad_input():
-    with pytest.raises(ParameterError):
-        geometric_discrepancy([(Fraction(1, 2),)], 0)
-    with pytest.raises(ParameterError):
-        geometric_discrepancy([(Fraction(3, 2), Fraction(0, 1))], 2)
-    with pytest.raises(ParameterError):
-        geometric_discrepancy([(Fraction(1, 2), Fraction(1, 2))], 2, d=3)
-
-
 # -- positive-deviation certificates -----------------------------------------------
 
 
@@ -835,8 +742,8 @@ def test_witness_cyclic_two_dimensional():
         assert cert.value.num > 0
         assert cert.side == M
         # claimed deviation is real
-        counter = RangeCounter(make_baseline("cyclic", M, 2), M)
-        dev = M * counter.count(cert.box, cert.color) - cert.box.cardinality
+        grid = color_grid(make_baseline("cyclic", M, 2), M)
+        dev = M * naive_box_count(grid, cert.box.lo, cert.box.hi, cert.color) - cert.box.cardinality
         assert dev == cert.value.num
         # certificate never exceeds the true optimum
         rep = disc_report(make_baseline("cyclic", M, 2), M, positive_only=True)
@@ -873,8 +780,8 @@ def test_witness_flips_negative_maximum_through_complement():
     assert cert.box == Box(lo=(2, 1), hi=(3, 1))
     assert cert.color == 1
     assert cert.value == ScaledValue(2, 4)
-    counter = RangeCounter(scheme, 4)
-    assert 4 * counter.count(cert.box, cert.color) - cert.box.cardinality == 2
+    count = naive_box_count(color_grid(scheme, 4), cert.box.lo, cert.box.hi, cert.color)
+    assert 4 * count - cert.box.cardinality == 2
 
 
 def test_witness_prefers_positive_box_on_tied_magnitude():
@@ -938,8 +845,6 @@ def test_budget_guard_max_cells():
     scheme = make_baseline("cyclic", 4, 2)
     with pytest.raises(BudgetExceededError, match="cells"):
         disc_report(scheme, 100, max_cells=10)
-    with pytest.raises(BudgetExceededError):
-        RangeCounter(scheme, 100, max_cells=10)
 
 
 def test_budget_guard_env_var(monkeypatch):
@@ -996,10 +901,7 @@ def test_range_counter_and_witness_check_the_budget_before_the_grid(monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("built a grid before checking the budget")
 
-    monkeypatch.setattr(discrepancy, "_resolve_grid", refuse)
     monkeypatch.setattr(discrepancy, "color_grid", refuse)
-    with pytest.raises(BudgetExceededError, match="2001\\^2 \\* 2"):
-        RangeCounter(make_baseline("cyclic", 2, 2), 2000, max_cells=100)
     big = make_baseline("cyclic", 3000, 2)  # its 3000 anchor cells are over the budget below
     monkeypatch.setenv("DECLUSTER_MAX_CELLS", "100")
     with pytest.raises(BudgetExceededError, match="3001 \\* 3001\\^1 \\* 1"):
@@ -1019,8 +921,6 @@ def test_budget_guard_witness_and_geometric(monkeypatch):
     monkeypatch.setenv("DECLUSTER_MAX_CELLS", "10")
     with pytest.raises(BudgetExceededError):
         find_positive_witness(make_baseline("cyclic", 4, 2))
-    with pytest.raises(BudgetExceededError):
-        geometric_discrepancy([(Fraction(1, 2), Fraction(1, 2))], 4)
 
 
 def test_scan_memory_is_the_table_and_a_few_chunks():

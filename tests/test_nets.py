@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decluster.coloring import coloring_from_net
 from decluster.errors import NetConstructionError, ParameterError
 from decluster.gf import field_for, field_for_order
 from decluster.nets import (
@@ -17,7 +16,6 @@ from decluster.nets import (
     GeneratorSet,
     NetParams,
     crt_anchor,
-    crt_compose,
     crt_compose_counted,
     generator_anchor,
     net_from_generators,
@@ -26,7 +24,7 @@ from decluster.nets import (
     save_net,
     verify_net,
 )
-from oracles import naive_net_check
+from oracles import coloring_from_net, naive_net_check
 
 
 def digit_net(b, points):
@@ -196,7 +194,7 @@ def test_verify_first_violation_is_lexicographically_first():
 def test_crt_recombination_example():
     c2 = permutation_net([1, 0])
     c3 = permutation_net([2, 0, 1])
-    net = crt_compose([c2, c3], 6)
+    net = crt_compose_counted([c2, c3], 6)[0]
     assert net.params.b == 6
     # index digit 1 maps to residues (1 mod 2, 1 mod 3): components send
     # 1 -> 0 and 1 -> 0, recombining to 0; check the whole permutation instead
@@ -214,21 +212,21 @@ def test_crt_weights_against_classic_example():
 def test_crt_identity_components_give_identity():
     c2 = permutation_net([0, 1])
     c3 = permutation_net([0, 1, 2])
-    net = crt_compose([c2, c3], 6)
+    net = crt_compose_counted([c2, c3], 6)[0]
     assert [point[1] for point in point_values(net)] == [Fraction(k, 6) for k in range(6)]
 
 
 def test_crt_single_component_passthrough():
     net = net_from_generators(pascal_power_generators(3, 2, 2))
-    same = crt_compose([net], 3)
-    assert same is net
+    same, check = crt_compose_counted([net], 3)
+    assert same is net and check is None
 
 
 def test_crt_composed_net_is_balanced():
     comps = [
         net_from_generators(pascal_power_generators(q, 3, 2)) for q in (2, 3)
     ]
-    net = crt_compose(comps, 6)
+    net = crt_compose_counted(comps, 6)[0]
     ok, violation = naive_net_check(point_values(net), 6, 2, 3, t=0)
     assert ok, violation
 
@@ -239,7 +237,7 @@ def test_crt_refuses_a_component_that_is_not_balanced():
     c2 = digit_net(2, [[[0], [0]], [[1], [0]]])
     c3 = permutation_net([0, 1, 2])
     with pytest.raises(NetConstructionError, match="residue composition to base 6"):
-        crt_compose([c2, c3], 6)
+        crt_compose_counted([c2, c3], 6)
     net, check = crt_compose_counted([permutation_net([1, 0]), c3], 6)
     assert check.ok and check.intervals_checked == 12 and net.params.t == 0
 
@@ -249,14 +247,14 @@ def test_crt_rejects_bad_inputs():
     c3 = permutation_net([0, 1, 2])
     c4 = permutation_net([0, 1, 2, 3])
     with pytest.raises(ParameterError, match="coprime"):
-        crt_compose([c2, c4], 8)
+        crt_compose_counted([c2, c4], 8)
     with pytest.raises(ParameterError, match="multiply"):
-        crt_compose([c2, c3], 12)
+        crt_compose_counted([c2, c3], 12)
     mism = net_from_generators(pascal_power_generators(3, 2, 2))
     with pytest.raises(ParameterError, match="share"):
-        crt_compose([c2, mism], 6)
+        crt_compose_counted([c2, mism], 6)
     with pytest.raises(ParameterError):
-        crt_compose([], 1)
+        crt_compose_counted([], 1)
 
 
 # -- construction gate -------------------------------------------------------
@@ -363,7 +361,7 @@ def test_generator_anchor_matches_the_point_set(case):
     assert rank_gate(gens)
     anchor = generator_anchor(gens, M)
     assert anchor.dtype == np.int64
-    assert anchor.tolist() == list(coloring_from_net(net, M).anchor)
+    assert np.array_equal(anchor, coloring_from_net(net, M).anchor_tensor().reshape(-1))
 
 
 def _smallest_prime(q):
@@ -394,10 +392,10 @@ def test_crt_anchor_matches_the_composed_point_set(case):
             crt_anchor(components, M)
         return
     b = math.prod(gens.field.q for gens in components)
-    net = crt_compose([net_from_generators(gens) for gens in components], b)
+    net = crt_compose_counted([net_from_generators(gens) for gens in components], b)[0]
     anchor = crt_anchor(components, M)
     assert anchor.dtype == np.int64
-    assert anchor.tolist() == list(coloring_from_net(net, M).anchor)
+    assert np.array_equal(anchor, coloring_from_net(net, M).anchor_tensor().reshape(-1))
 
 
 def test_crt_anchor_checks_its_components():
@@ -417,7 +415,8 @@ def test_generator_anchor_weights_do_not_wrap(q, m):
     gens = pascal_power_generators(q, 3, m)
     anchor = generator_anchor(gens, 343)
     assert anchor.min() == 1 and anchor.max() == 343
-    assert anchor.tolist() == list(coloring_from_net(net_from_generators(gens), 343).anchor)
+    reference = coloring_from_net(net_from_generators(gens), 343)
+    assert np.array_equal(anchor, reference.anchor_tensor().reshape(-1))
 
 
 def test_generator_anchor_checks_its_shape_first():
